@@ -16,15 +16,48 @@ closed sets correspond one-to-one across the condensation.
 Determinism: seed subsets are enumerated in lexicographic order over
 sorted node ids by increasing size; greedy tie-breaks take the smallest
 node id; equal-objective candidates keep the first one found.
+
+Representation: a node set is a Python int with bit v set for node v.
+Once per call, ``_Reach`` derives from one topological order the
+descendant mask ``desc[v]`` (v included), the strict ancestor mask
+``anc[v]`` and the out- and in-neighbour masks.  The weight of a mask is
+a weighted popcount over one bit plane per bit of the weights, and the
+sources (sinks) of a mask are found by OR-ing the in- (out-) neighbour
+relation over the mask's bytes through per-byte lookup tables.
+
+Convexity: for the maximization, ``avail`` (the nodes the greedy may
+still add) starts as the complement of the seed's descendants (a
+down-closed set) and of its kernel's strict ancestors (an up-closed set),
+so every directed path between two nodes of ``avail`` stays inside it.
+Removing the cone of a source or a single source keeps that true.  Hence
+the descendants of a source z inside ``avail`` are ``desc[z] & avail``,
+and discarding z changes the cone of no other source: only the new
+sources it exposes need weighing.
+
+Skipped seeds, neither of which can change the output:
+
+- maximization: the kernel of a seed S is the set of nodes of S with no
+  in-neighbour in S.  Every node of S is reached from its kernel, so when
+  S has an arc inside it, S and its kernel (a smaller seed, and its own
+  kernel) give the same ``(base, avail)`` and the same greedy result.  The
+  kernel was enumerated earlier, and only a strictly larger weight
+  replaces the incumbent.
+- maximal minimization: the greedy state is the unselected set alone, so
+  a seed whose start state ``full & ~base`` was already seen repeats an
+  earlier result, and only a strictly smaller weight replaces the
+  incumbent.  Seeds with an arc inside are such repeats and are never
+  built.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterator
 
-from .graph import Digraph, condense, descendants, is_dag, kernel, ascendants
+from .graph import Digraph, _topological_order, condense
 from .instance import ProblemKind, Solution, WeightedInstance
 
 
@@ -35,55 +68,139 @@ class ApproxResult:
     guarantee: Fraction
 
 
-def _seed_subsets(n: int, k: int):
-    for size in range(min(k, n) + 1):
-        yield from itertools.combinations(range(n), size)
+def _bits(m: int) -> Iterator[int]:
+    """Set bit positions of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _byte_tables(masks: list[int]) -> list[list[int]]:
+    """``tables[j][b]``: OR of ``masks[8j + i]`` over the set bits i of b."""
+    tables = []
+    for j in range(0, len(masks), 8):
+        group = masks[j : j + 8]
+        t = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            i = low.bit_length() - 1
+            t[b] = t[b ^ low] | (group[i] if i < len(group) else 0)
+        tables.append(t)
+    return tables
+
+
+class _Reach:
+    """Reachability and weight bitsets of one DAG, built once per call."""
+
+    def __init__(self, g: Digraph, order: list[int], weights: list[int]):
+        n = g.n
+        self.full = (1 << n) - 1
+        self.succ = [0] * n
+        self.pred = [0] * n
+        for u, v in g.arcs:
+            self.succ[u] |= 1 << v
+            self.pred[v] |= 1 << u
+        self.desc = [0] * n
+        for v in reversed(order):
+            m = 1 << v
+            for u in g.out_adj[v]:
+                m |= self.desc[u]
+            self.desc[v] = m
+        self.anc = [0] * n
+        for v in order:
+            m = 0
+            for p in g.in_adj[v]:
+                m |= self.anc[p] | 1 << p
+            self.anc[v] = m
+        self.weights = weights
+        self._planes = [
+            (b, p)
+            for b in range(max(weights, default=0).bit_length())
+            if (p := sum(1 << v for v, w in enumerate(weights) if w >> b & 1))
+        ]
+        self._nbytes = (n + 7) // 8
+
+    def weigh(self, m: int) -> int:
+        w = 0
+        for b, p in self._planes:
+            w += (m & p).bit_count() << b
+        return w
+
+    def _union(self, tables: list[list[int]], m: int) -> int:
+        out = 0
+        for t, b in zip(tables, m.to_bytes(self._nbytes, "little")):
+            out |= t[b]
+        return out
+
+    @cached_property
+    def _succ_of(self) -> list[list[int]]:
+        return _byte_tables(self.succ)
+
+    @cached_property
+    def _pred_of(self) -> list[list[int]]:
+        return _byte_tables(self.pred)
+
+    def sources(self, m: int) -> int:
+        return m & ~self._union(self._succ_of, m)
+
+    def sinks(self, m: int) -> int:
+        return m & ~self._union(self._pred_of, m)
+
+    def seeds(self, k: int, budget: int) -> Iterator[tuple[int, int, int]]:
+        """``(seed, base, base weight)`` for every seed of at most k nodes
+        with no arc inside and ``base = descendants(seed)`` within budget,
+        by increasing size, then lexicographically."""
+        n = len(self.desc)
+        for size in range(min(k, n) + 1):
+            for combo in itertools.combinations(range(n), size):
+                seed = base = near = 0
+                for v in combo:
+                    if near >> v & 1:
+                        break
+                    seed |= 1 << v
+                    base |= self.desc[v]
+                    near |= self.succ[v] | self.pred[v]
+                else:
+                    base_w = self.weigh(base)
+                    if base_w <= budget:
+                        yield seed, base, base_w
 
 
 def _condensed_view(inst: WeightedInstance):
-    """(dag, weights, expand) with expand mapping component sets back."""
+    """(reach, expand) with expand mapping a component mask back to nodes."""
     g = inst.graph
-    if is_dag(g):
-        return g, list(inst.weights), lambda comps: set(comps)
+    order = _topological_order(g)
+    if len(order) == g.n:
+        return _Reach(g, order, list(inst.weights)), lambda comps: set(_bits(comps))
     cond = condense(g, inst.weights)
 
     def expand(comps):
-        return {v for c in comps for v in cond.members[c]}
+        return {v for c in _bits(comps) for v in cond.members[c]}
 
-    return cond.dag, list(cond.component_weight), expand
+    dag = cond.dag
+    return _Reach(dag, _topological_order(dag), list(cond.component_weight)), expand
 
 
-def _greedy_fill_max(g: Digraph, weights, budget: int, sol: set[int], avail: set[int]) -> None:
-    """Add whole descendant cones of sources by largest marginal weight."""
+def _fill_max(r: _Reach, budget: int, sol: int, sol_w: int, avail: int) -> tuple[int, int]:
+    """Add whole cones of sources of ``avail`` by largest weight, discarding
+    a source whose cone overshoots; returns the final (sol, weight)."""
     while avail:
-        sources = [v for v in avail if not any(u in avail for u in g.in_adj[v])]
-        best_z = None
-        best_cone: Optional[set[int]] = None
-        best_w = -1
-        for z in sorted(sources):
-            cone = _cone(g, z, avail)
-            w = sum(weights[v] for v in cone)
-            if w > best_w:
-                best_z, best_cone, best_w = z, cone, w
-        assert best_z is not None
-        if sum(weights[v] for v in sol) + best_w <= budget:
-            sol |= best_cone
-            avail -= best_cone
-        else:
-            avail.discard(best_z)
-
-
-def _cone(g: Digraph, z: int, avail: set[int]) -> set[int]:
-    """Descendants of z inside the induced subgraph on avail."""
-    seen = {z}
-    stack = [z]
-    while stack:
-        u = stack.pop()
-        for v in g.out_adj[u]:
-            if v in avail and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+        heap = [(-r.weigh(r.desc[s] & avail), s) for s in _bits(r.sources(avail))]
+        heapq.heapify(heap)
+        while heap:
+            neg_w, z = heapq.heappop(heap)
+            if sol_w - neg_w <= budget:
+                cone = r.desc[z] & avail
+                sol |= cone
+                sol_w -= neg_w
+                avail &= ~cone
+                break
+            avail &= ~(1 << z)
+            for v in _bits(r.succ[z] & avail):
+                if not r.pred[v] & avail:
+                    heapq.heappush(heap, (-r.weigh(r.desc[v] & avail), v))
+    return sol, sol_w
 
 
 def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
@@ -92,19 +209,13 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
         raise ValueError("k must be nonnegative")
     if inst.kind is not ProblemKind.SSG:
         raise ValueError("ptas_ssg expects the maximization kind")
-    g, weights, expand = _condensed_view(inst)
-    best: Optional[set[int]] = None
-    best_w = -1
-    for seed in _seed_subsets(g.n, k):
-        base = descendants(g, seed)
-        base_w = sum(weights[v] for v in base)
-        if base_w > inst.budget:
-            continue
-        ker = kernel(g, seed)
-        avail = set(g.nodes()) - ascendants(g, ker) - base
-        sol = set(base)
-        _greedy_fill_max(g, weights, inst.budget, sol, avail)
-        w = sum(weights[v] for v in sol)
+    r, expand = _condensed_view(inst)
+    best, best_w = 0, -1
+    for seed, base, base_w in r.seeds(k, inst.budget):
+        up = 0
+        for v in _bits(seed):
+            up |= r.anc[v]
+        sol, w = _fill_max(r, inst.budget, base, base_w, r.full & ~up & ~base)
         if w > best_w:
             best, best_w = sol, w
     nodes = expand(best)
@@ -122,31 +233,26 @@ def ptas_maximal_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
         raise ValueError("k must be nonnegative")
     if inst.kind is not ProblemKind.MAXIMAL_SSG:
         raise ValueError("ptas_maximal_ssg expects the maximal kind")
-    g, weights, expand = _condensed_view(inst)
-    best: set[int] = set(g.nodes())
-    best_w = sum(weights)
-    found = False
-    for seed in _seed_subsets(g.n, k):
-        base = descendants(g, seed)
-        base_w = sum(weights[v] for v in base)
-        if base_w > inst.budget:
+    r, expand = _condensed_view(inst)
+    weights = r.weights
+    best, best_w = r.full, None
+    seen = set()
+    for _seed, base, w in r.seeds(k, inst.budget):
+        avail = r.full & ~base
+        if avail in seen:
             continue
-        sol = set(base)
-        w = base_w
-        avail = set(g.nodes()) - sol
-        while True:
-            sinks = sorted(
-                v for v in avail if not any(u in avail for u in g.out_adj[v])
-            )
-            z = min(sinks, key=lambda v: (weights[v], v), default=None)
-            if z is None or w + weights[z] > inst.budget:
-                break
-            sol.add(z)
-            avail.discard(z)
-            w += weights[z]
-        if not found or w < best_w:
-            best, best_w = sol, w
-            found = True
+        seen.add(avail)
+        heap = [(weights[v], v) for v in _bits(r.sinks(avail))]
+        heapq.heapify(heap)
+        while heap and w + heap[0][0] <= inst.budget:
+            wz, z = heapq.heappop(heap)
+            avail &= ~(1 << z)
+            w += wz
+            for p in _bits(r.pred[z] & avail):
+                if not r.succ[p] & avail:
+                    heapq.heappush(heap, (weights[p], p))
+        if best_w is None or w < best_w:
+            best, best_w = r.full & ~avail, w
     nodes = expand(best)
     guarantee = Fraction(2) if k == 0 else Fraction(k + 1, k)
     return ApproxResult(

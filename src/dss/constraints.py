@@ -162,8 +162,6 @@ def evaluate(inst: WeightedInstance, s) -> FeasibilityReport:
     else:
         witness = check_digraph_closure(g, sel)
     budget_ok, total = check_budget(inst, sel)
-    if witness is None and not budget_ok:
-        witness = None  # budget failure carries no single-item witness
     return FeasibilityReport(
         satisfies_closure=witness is None,
         satisfies_budget=budget_ok,

@@ -147,3 +147,95 @@ def independent_domination_number(n: int, edges) -> int:
             if _independent(eset, c) and _dominating(n, adj, set(c)):
                 return size
     raise AssertionError("every graph has an independent dominating set")
+
+
+def _cone_within(out_adj, z: int, avail: set[int]) -> set[int]:
+    """Nodes reachable from z by paths that stay inside avail."""
+    seen = {z}
+    stack = [z]
+    while stack:
+        u = stack.pop()
+        for v in out_adj[u]:
+            if v in avail and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def ptas_ssg_oracle(n: int, arcs, weights, budget: int, k: int) -> frozenset[int]:
+    """Seed-enumeration greedy for ssg on a DAG, on plain sets.
+
+    Every seed S of at most k nodes (by size, then lexicographically) whose
+    descendants fit the budget starts from those descendants; the nodes
+    still available are the rest minus the strict ascendants of the
+    sources of S.  The greedy then takes the source of the available part
+    with the heaviest cone inside it (smallest id on ties), adding the cone
+    if it fits and discarding the source otherwise.  The first seed with
+    the strictly heaviest result wins.
+    """
+    r = reach_matrix(n, arcs)
+    out_adj = [[v for u2, v in arcs if u2 == u] for u in range(n)]
+    in_adj = [[u for u, v2 in arcs if v2 == v] for v in range(n)]
+
+    def weight(s) -> int:
+        return sum(weights[v] for v in s)
+
+    best: Optional[set[int]] = None
+    best_w = -1
+    for size in range(min(k, n) + 1):
+        for seed in itertools.combinations(range(n), size):
+            base = {v for u in seed for v in range(n) if r[u][v]}
+            if weight(base) > budget:
+                continue
+            ker = [v for v in seed if not any(p in seed for p in in_adj[v])]
+            above = {u for v in ker for u in range(n) if r[u][v] and u != v}
+            avail = set(range(n)) - above - base
+            sol = set(base)
+            while avail:
+                sources = [v for v in avail if avail.isdisjoint(in_adj[v])]
+                best_z, best_cone, best_cw = None, set(), -1
+                for z in sorted(sources):
+                    cone = _cone_within(out_adj, z, avail)
+                    cw = weight(cone)
+                    if cw > best_cw:
+                        best_z, best_cone, best_cw = z, cone, cw
+                if weight(sol) + best_cw <= budget:
+                    sol |= best_cone
+                    avail -= best_cone
+                else:
+                    avail.discard(best_z)
+            if weight(sol) > best_w:
+                best, best_w = sol, weight(sol)
+    return frozenset(best)
+
+
+def ptas_maximal_ssg_oracle(n: int, arcs, weights, budget: int, k: int) -> frozenset[int]:
+    """Seed-enumeration greedy for maximal-ssg on a DAG, on plain sets.
+
+    Every seed S of at most k nodes (by size, then lexicographically) whose
+    descendants fit the budget starts from those descendants; the greedy
+    then adds a lightest sink of the unselected part (smallest id on ties)
+    while it fits.  The first seed with the strictly lightest result wins.
+    """
+    r = reach_matrix(n, arcs)
+    out_adj = [[v for u2, v in arcs if u2 == u] for u in range(n)]
+    best: Optional[set[int]] = None
+    best_w = 0
+    for size in range(min(k, n) + 1):
+        for seed in itertools.combinations(range(n), size):
+            sol = {v for u in seed for v in range(n) if r[u][v]}
+            w = sum(weights[v] for v in sol)
+            if w > budget:
+                continue
+            avail = set(range(n)) - sol
+            while True:
+                sinks = [v for v in avail if avail.isdisjoint(out_adj[v])]
+                z = min(sinks, key=lambda v: (weights[v], v), default=None)
+                if z is None or w + weights[z] > budget:
+                    break
+                sol.add(z)
+                avail.discard(z)
+                w += weights[z]
+            if best is None or w < best_w:
+                best, best_w = sol, w
+    return frozenset(best)

@@ -4,12 +4,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance
+from oracles import (
+    descendants_oracle,
+    ptas_maximal_ssg_oracle,
+    ptas_ssg_oracle,
+)
 
 from dss import (
+    ApproxResult,
     Digraph,
     GraphClass,
     ProblemKind,
+    Solution,
+    WeightedInstance,
     brute_force,
+    condense,
+    is_dag,
     is_feasible,
     ptas_maximal_ssg,
     ptas_ssg,
@@ -142,3 +152,87 @@ class TestPtasMaximalSSG:
             sol = ptas_maximal_ssg(inst, inst.graph.n).solution
             assert sol.weight == brute_force(inst).weight
             assert verify_solution(inst, sol).feasible
+
+
+def _oracle_result(inst, k):
+    """The ApproxResult the set-based oracle gives; general digraphs go
+    through the condensation, as the schemes do."""
+    g = inst.graph
+    if inst.kind is ProblemKind.SSG:
+        oracle = ptas_ssg_oracle
+        guarantee = Fraction(1, 2) if k == 0 else Fraction(k, k + 1)
+    else:
+        oracle = ptas_maximal_ssg_oracle
+        guarantee = Fraction(2) if k == 0 else Fraction(k + 1, k)
+    if is_dag(g):
+        nodes = oracle(g.n, g.arcs, inst.weights, inst.budget, k)
+    else:
+        cond = condense(g, inst.weights)
+        comps = oracle(
+            cond.dag.n, cond.dag.arcs, cond.component_weight, inst.budget, k
+        )
+        nodes = frozenset(v for c in comps for v in cond.members[c])
+    return ApproxResult(Solution(nodes, inst.weight_of(nodes)), k, guarantee)
+
+
+def _random_case(seed, n_max, dag):
+    """Seeded digraph of 2..n_max nodes (mostly small, since the oracle's
+    cost grows as n^4 at k = 3) with arc probability in [0.05, 0.5],
+    weights that may all be zero, and a budget of 0, the total, above it,
+    or in between."""
+    rng = random.Random(seed)
+    n = 2 + int((n_max - 1) * rng.random() ** 3)
+    p = rng.uniform(0.05, 0.5)
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(n)
+        if (i < j or (not dag and i != j)) and rng.random() < p
+    ]
+    wmax = rng.choice([0, 1, 9, 9, 1000, 1000])
+    weights = [rng.randint(0, wmax) for _ in range(n)]
+    total = sum(weights)
+    if rng.random() < 0.2:
+        budget = rng.choice([0, total, total + 1])
+    else:
+        budget = rng.randint(0, total)
+    return Digraph(n, arcs), tuple(weights), budget
+
+
+def _assert_matches_oracle(g, weights, budget, ks, label):
+    for kind, scheme in (
+        (ProblemKind.SSG, ptas_ssg),
+        (ProblemKind.MAXIMAL_SSG, ptas_maximal_ssg),
+    ):
+        inst = WeightedInstance(g, weights, budget, kind)
+        for k in ks:
+            assert scheme(inst, k) == _oracle_result(inst, k), f"{label} {kind.value} k={k}"
+
+
+class TestMatchesSetOracle:
+    def test_random_dags(self):
+        for seed in range(300):
+            g, weights, budget = _random_case(seed, 25, dag=True)
+            _assert_matches_oracle(g, weights, budget, range(4), f"seed {seed}")
+
+    def test_random_general_digraphs(self):
+        for seed in range(60):
+            g, weights, budget = _random_case(seed, 12, dag=False)
+            _assert_matches_oracle(g, weights, budget, range(4), f"seed {seed}")
+
+    def test_skipped_seeds(self):
+        # 0 -> 1 -> 2, 0 -> 3, 4 -> 2, 5 alone.  The ssg seed {0, 1} holds
+        # an arc and fits the budget; the maximal seed {0, 2} holds no arc
+        # but starts from the same descendants {0, 1, 2, 3} as {0}.
+        g = Digraph(6, [(0, 1), (0, 3), (1, 2), (4, 2)])
+        weights = (2, 1, 1, 3, 2, 4)
+        budget = 7
+        arc_seed, arc_kernel = {0, 1}, {0}
+        assert (0, 1) in g.arcs
+        assert descendants_oracle(6, g.arcs, arc_seed) == descendants_oracle(6, g.arcs, arc_kernel)
+        assert sum(weights[v] for v in descendants_oracle(6, g.arcs, arc_seed)) <= budget
+        assert not {(0, 2), (2, 0)} & set(g.arcs)
+        assert descendants_oracle(6, g.arcs, {0, 2}) == descendants_oracle(6, g.arcs, {0})
+        _assert_matches_oracle(g, weights, budget, range(7), "skip rules")
