@@ -16,7 +16,6 @@ from .graph import (
     classify,
     condense,
     descendants,
-    induced_subgraph,
     is_dag,
     kernel,
 )
@@ -41,7 +40,6 @@ from .exact import (
     CapExceeded,
     SolverError,
     brute_force,
-    sink_order,
     solve_balanced_degree_two,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
@@ -82,7 +80,6 @@ __all__ = [
     "classify",
     "condense",
     "descendants",
-    "induced_subgraph",
     "is_dag",
     "kernel",
     "InstanceError",
@@ -101,7 +98,6 @@ __all__ = [
     "CapExceeded",
     "SolverError",
     "brute_force",
-    "sink_order",
     "solve_balanced_degree_two",
     "solve_maximal_ssg_tree",
     "solve_ssg_tree",

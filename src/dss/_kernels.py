@@ -1,61 +1,59 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Set the environment variable ``DSS_NO_NUMBA=1`` to force the numpy path
-(useful for debugging and for the benchmark that compares both).  The
-selected backend is frozen at import time and reported in ``BACKEND``.
+"""Hot numeric kernels, in numpy.
 
 Kernels:
 
 - ``or_convolve(a, b)``: boolean OR-convolution of two feasibility
-  vectors, capped at the length of ``a``.  This is the inner loop of the
-  tree dynamic programs (O(B^2) per combination step).
+  vectors, capped at the length of ``a``; ``b`` may be shorter.  This is
+  the inner loop of the tree dynamic programs.
+- ``maxmin_convolve(a, b)``: (max, min) convolution of two score
+  vectors, capped at the length of ``a``; ``b`` may be shorter.  Entry
+  -1 means unreachable.  Inner loop of the maximal-minimization tree
+  program.
 - ``closed_subsets(desc_masks, weights)``: for every bitmask over n
   nodes, whether the subset is closed under "selected implies all
   out-neighbours selected", plus its total weight.  Inner loop of the
   brute-force oracle (O(n 2^n)).
 - ``weak_closed_subsets(in_masks, weights)``: same for the weak rule
   "all in-neighbours selected forces the node".
-- ``maxmin_convolve(a, b)``: (max, min) convolution of two score
-  vectors, capped at the length of ``a``; entry -1 means unreachable.
-  Inner loop of the maximal-minimization tree program.
+
+Both convolutions loop over the set entries of whichever operand has
+fewer of them and merge a slice of the other operand per entry.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("DSS_NO_NUMBA"))
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
+# The only backend; ``dss.BACKEND`` names it in benchmark run records.
+BACKEND = "numpy"
 
 
-def _or_convolve_py(a, b):
+def or_convolve(a, b):
     n = a.shape[0]
     out = np.zeros(n, dtype=np.bool_)
-    for s in np.flatnonzero(a):
-        out[s:] |= b[: n - s]
+    ia, ib = a.nonzero()[0], b.nonzero()[0]
+    if ib.size < ia.size:
+        a, b, ia = b, a, ib
+    for s in ia:
+        seg = b[: n - s]
+        out[s : s + seg.shape[0]] |= seg
     return out
 
 
-def _maxmin_convolve_py(a, b):
+def maxmin_convolve(a, b):
     n = a.shape[0]
     out = np.full(n, -1, dtype=np.int64)
-    for s in np.flatnonzero(a >= 0):
+    ia, ib = (a >= 0).nonzero()[0], (b >= 0).nonzero()[0]
+    if ib.size < ia.size:
+        a, b, ia = b, a, ib
+    for s in ia:
         seg = b[: n - s]
-        cand = np.where(seg >= 0, np.minimum(np.int64(a[s]), seg), -1)
-        np.maximum(out[s:], cand, out=out[s:])
+        # min(a[s], -1) = -1 keeps unreachable entries unreachable.
+        dst = out[s : s + seg.shape[0]]
+        np.maximum(dst, np.minimum(seg, a[s]), out=dst)
     return out
 
 
-def _closed_subsets_py(desc_masks, weights):
+def closed_subsets(desc_masks, weights):
     n = desc_masks.shape[0]
     total = 1 << n
     masks = np.arange(total, dtype=np.int64)
@@ -68,7 +66,7 @@ def _closed_subsets_py(desc_masks, weights):
     return closed, weight
 
 
-def _weak_closed_subsets_py(in_masks, weights):
+def weak_closed_subsets(in_masks, weights):
     n = in_masks.shape[0]
     total = 1 << n
     masks = np.arange(total, dtype=np.int64)
@@ -82,80 +80,3 @@ def _weak_closed_subsets_py(in_masks, weights):
         forced = (masks & in_masks[i]) == in_masks[i]
         closed &= ~forced | sel
     return closed, weight
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _or_convolve_nb(a, b):  # pragma: no cover - numba-compiled
-        n = a.shape[0]
-        out = np.zeros(n, dtype=np.bool_)
-        for s in range(n):
-            if a[s]:
-                for t in range(n - s):
-                    if b[t]:
-                        out[s + t] = True
-        return out
-
-    @njit(cache=True)
-    def _maxmin_convolve_nb(a, b):  # pragma: no cover - numba-compiled
-        n = a.shape[0]
-        out = np.full(n, -1, dtype=np.int64)
-        for s in range(n):
-            if a[s] < 0:
-                continue
-            for t in range(n - s):
-                if b[t] < 0:
-                    continue
-                v = a[s] if a[s] < b[t] else b[t]
-                if v > out[s + t]:
-                    out[s + t] = v
-        return out
-
-    @njit(cache=True)
-    def _closed_subsets_nb(desc_masks, weights):  # pragma: no cover
-        n = desc_masks.shape[0]
-        total = 1 << n
-        closed = np.ones(total, dtype=np.bool_)
-        weight = np.zeros(total, dtype=np.int64)
-        for m in range(total):
-            w = 0
-            ok = True
-            for i in range(n):
-                if (m >> i) & 1:
-                    w += weights[i]
-                    if m & desc_masks[i] != desc_masks[i]:
-                        ok = False
-            closed[m] = ok
-            weight[m] = w
-        return closed, weight
-
-    @njit(cache=True)
-    def _weak_closed_subsets_nb(in_masks, weights):  # pragma: no cover
-        n = in_masks.shape[0]
-        total = 1 << n
-        closed = np.ones(total, dtype=np.bool_)
-        weight = np.zeros(total, dtype=np.int64)
-        for m in range(total):
-            w = 0
-            ok = True
-            for i in range(n):
-                if (m >> i) & 1:
-                    w += weights[i]
-                elif in_masks[i] != 0 and m & in_masks[i] == in_masks[i]:
-                    ok = False
-            closed[m] = ok
-            weight[m] = w
-        return closed, weight
-
-    or_convolve = _or_convolve_nb
-    maxmin_convolve = _maxmin_convolve_nb
-    closed_subsets = _closed_subsets_nb
-    weak_closed_subsets = _weak_closed_subsets_nb
-    BACKEND = "numba"
-else:
-    or_convolve = _or_convolve_py
-    maxmin_convolve = _maxmin_convolve_py
-    closed_subsets = _closed_subsets_py
-    weak_closed_subsets = _weak_closed_subsets_py
-    BACKEND = "numpy"

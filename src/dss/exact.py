@@ -5,20 +5,24 @@
   a hot kernel (see ``_kernels``).
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
-  boolean feasibility vectors indexed by weight 0..B: reachable weights
-  with the subtree root selected / not selected.
+  boolean feasibility vectors indexed by weight: reachable weights with
+  the subtree root selected / not selected.
 - ``solve_maximal_ssg_tree``: maximal-minimization DP on oriented
   trees tracking, per total weight, the best achievable minimum weight
   over vertices that could still be added.
 - ``solve_ssgw_rooted_tree``: weak-closure DP for in-rooted and
   out-rooted trees.
+
+  The three tree DPs are state tables (``_STRONG``, ``_MAXIMAL``,
+  ``_WEAK``) run by one iterative skeleton, ``_TreeDP``.
 - ``solve_tournament`` and ``solve_balanced_degree_two``: the two
   polynomial special cases.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -172,43 +176,15 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Optiona
 
 
 # ---------------------------------------------------------------------------
-# Forest DP for the strong-closure maximization problem
+# Tree DPs: one post-order skeleton driven by three state tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _NodeTables:
-    plus: np.ndarray
-    minus: np.ndarray
-    # Per combined child: (child, plus-contribution kind, minus-contribution
-    # kind, accumulated plus vector before, accumulated minus vector before).
-    steps: list = field(default_factory=list)
-
-    @property
-    def any(self) -> np.ndarray:
-        return self.plus | self.minus
-
-
-def _delta(cap: int, at: int) -> np.ndarray:
-    v = np.zeros(cap + 1, dtype=np.bool_)
-    if 0 <= at <= cap:
-        v[at] = True
-    return v
-
-
-def _split(left: np.ndarray, right: np.ndarray, b: int) -> int:
-    """Smallest a with left[a] and right[b-a]; ties go to the smallest
-    left-operand weight by construction."""
-    for a in range(b + 1):
-        if left[a] and right[b - a]:
-            return a
-    raise AssertionError("no witness split found (corrupt DP table)")
-
-
-def _component_orders(g: Digraph):
-    """Per underlying component: (root, preorder node list, children map)."""
+def _component_orders(g: Digraph, starts: Iterable[int]):
+    """Per underlying component, rooted at the first unseen node of
+    ``starts``: (root, preorder node list, children map)."""
     seen = [False] * g.n
-    for start in range(g.n):
+    for start in starts:
         if seen[start]:
             continue
         order: list[int] = []
@@ -228,91 +204,243 @@ def _component_orders(g: Digraph):
         yield start, order, children
 
 
-class _ForestDP:
-    """Strong-closure feasibility vectors over an oriented forest.
+# Pairs (source state, child views) per destination state.
+_Table = dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
 
-    R_plus[v][b] / R_minus[v][b]: a subset of v's subtree satisfying the
-    closure rule with total weight b, containing / not containing v.
-    R_minus[v][0] is always true (the empty set).
+
+@dataclass(frozen=True)
+class _Kind:
+    """One tree DP over the semiring (max, min) on ``zero < one``: with
+    booleans that is (OR, AND).
+
+    Each node keeps one vector per state, indexed by the total weight of
+    a selection in its subtree.  ``start(w, leaf)`` gives, per state, the
+    one weight at which it holds ``one`` before any child is merged
+    (None: nowhere).  ``table[arc v -> u]`` maps each state of v to its
+    (source state, child views) pairs: the views are joined, merged into
+    the source's accumulator, and the pairs joined.  The traceback takes
+    the smallest split, then the first pair and the first view in table
+    order.  ``views(acc, w)`` gives the vectors a father reads, and
+    ``view_state`` the state each view resolves the child into.  The
+    state ``plus`` means "node selected".  A ``shifted`` state is built
+    after each child step as the join of other states moved up by the
+    node weight, which must equal what its table pairs give; its pairs
+    then only drive the traceback, and the step saves a convolution.
     """
 
-    def __init__(self, g: Digraph, weights, cap: int):
-        if not is_underlying_forest(g):
-            raise SolverError("forest DP requires an oriented forest")
-        self.g = g
-        self.weights = weights
+    kernel: str  # convolution in ``_kernels``, looked up at each call
+    zero: np.generic
+    one: np.generic
+    start: Callable[[int, bool], dict[str, Optional[int]]]
+    table: dict[bool, _Table]
+    views: Callable[[dict, int], dict]
+    view_state: dict[str, str]
+    shifted: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+# Strong closure on an oriented forest: a selected v forces a ch+ child
+# (arc v -> u); an unselected v forbids a ch- child (arc u -> v).
+_STRONG = _Kind(
+    kernel="or_convolve",
+    zero=np.False_,
+    one=np.True_,
+    start=lambda w, leaf: {"plus": w, "minus": 0},
+    table={
+        True: {
+            "plus": (("plus", ("plus",)),),
+            "minus": (("minus", ("minus", "plus")),),
+        },
+        False: {
+            "plus": (("plus", ("minus", "plus")),),
+            "minus": (("minus", ("minus",)),),
+        },
+    },
+    views=lambda acc, w: acc,
+    view_state={"plus": "plus", "minus": "minus"},
+)
+
+# A selection with no addable vertex at all; larger than any weight.
+_NO_ADDABLE = np.int64(2**62)
+
+# Maximal strong closure on an oriented tree.  A feasible selection S is
+# maximal iff every addable vertex (unselected, all out-neighbours
+# selected) weighs more than B - w(S).  Entries hold the best (largest)
+# achievable minimum weight over addable vertices, -1 when the weight is
+# unreachable, so maximality at weight b reads as score(b) > B - b.
+# open: v unselected, every ch+ child selected (v is addable unless its
+# father is an unselected out-neighbour); closed: v unselected with an
+# unselected ch+ child.  The view ``addable`` is an open child whose
+# father does not block it.
+_MAXIMAL = _Kind(
+    kernel="maxmin_convolve",
+    zero=np.int64(-1),
+    one=_NO_ADDABLE,
+    start=lambda w, leaf: {"plus": w, "open": 0, "closed": None},
+    table={
+        True: {
+            "plus": (("plus", ("plus",)),),
+            "open": (("open", ("plus",)),),
+            "closed": (
+                ("closed", ("plus", "addable", "closed")),
+                ("open", ("addable", "closed")),
+            ),
+        },
+        False: {
+            "plus": (("plus", ("plus", "addable", "closed")),),
+            "open": (("open", ("open", "closed")),),
+            "closed": (("closed", ("open", "closed")),),
+        },
+    },
+    views=lambda acc, w: {**acc, "addable": np.minimum(acc["open"], w)},
+    view_state={"plus": "plus", "open": "open", "addable": "open", "closed": "closed"},
+)
+
+# Weak closure on an out-rooted tree hung from its sink, so every arc
+# runs child -> father and a node's children are its in-neighbours.  An
+# unselected node with children needs an unselected child.  all_plus /
+# some_minus: v unselected, every child so far selected / some child
+# unselected.  A leaf is never forced: its some_minus starts at 0.  A
+# selected v leaves its children free, and all_plus | some_minus covers
+# every choice of them, so plus is that join moved up by w.
+_WEAK = _Kind(
+    kernel="or_convolve",
+    zero=np.False_,
+    one=np.True_,
+    start=lambda w, leaf: {"plus": w, "all_plus": 0, "some_minus": 0 if leaf else None},
+    table={
+        False: {
+            "plus": (("plus", ("minus", "plus")),),
+            "all_plus": (("all_plus", ("plus",)),),
+            "some_minus": (
+                ("some_minus", ("minus", "plus")),
+                ("all_plus", ("minus",)),
+            ),
+        },
+    },
+    views=lambda acc, w: {"plus": acc["plus"], "minus": acc["some_minus"]},
+    view_state={"plus": "plus", "minus": "some_minus"},
+    shifted={"plus": ("all_plus", "some_minus")},
+)
+
+
+def _join(vectors) -> np.ndarray:
+    return functools.reduce(np.maximum, vectors)
+
+
+def _split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
+    """(a, source, view): the smallest a with left[source][a] and
+    views[view][rem - a] both >= threshold, then the first pair and view
+    in table order."""
+    best = None
+    for src, names in pairs:
+        lvec = left[src]
+        for name in names:
+            rvec = views[name]
+            # The vectors of one node share a length, so lo is the same
+            # for every pair and view: a hit at lo cannot be beaten.
+            lo, hi = max(0, rem + 1 - rvec.size), min(rem, lvec.size - 1)
+            ok = (lvec[lo : hi + 1] >= threshold) & (
+                rvec[rem - hi : rem - lo + 1][::-1] >= threshold
+            )
+            i = int(ok.argmax())
+            if ok[i] and (best is None or lo + i < best[0]):
+                best = (lo + i, src, name)
+                if i == 0:
+                    return best
+    assert best is not None, "no witness split found (corrupt DP table)"
+    return best
+
+
+class _TreeDP:
+    """Vectors of one ``_Kind`` over an oriented forest, built in post-order.
+
+    The components hang below a virtual root ``g.n`` of weight 0, each
+    component root attached as if by an arc into it; the virtual root in
+    state ``plus`` leaves them unconstrained, and ``answer`` is its
+    ``plus`` vector.  A node's vectors have
+    length min(cap, subtree weight) + 1, as no selection in the subtree
+    weighs more, and a child's vectors are never longer than its
+    father's.
+    """
+
+    def __init__(self, g: Digraph, weights, cap: int, kind: _Kind, starts: Iterable[int]):
+        self.kind = kind
         self.cap = cap
-        self.tables: dict[int, _NodeTables] = {}
-        self.roots: list[int] = []
-        self._build()
+        self.root = g.n
+        self.weights = list(weights) + [0]
+        self.arcs = set(g.arcs)
+        self.kids: dict[int, list[int]] = {self.root: []}
+        order: list[int] = []
+        for start, pre, children in _component_orders(g, starts):
+            self.kids[self.root].append(start)
+            for v in pre:
+                self.kids[v] = sorted(children[v])
+            order.extend(reversed(pre))
+        order.append(self.root)
+        convolve = getattr(_kernels, kind.kernel)
+        self._blank = np.full(cap + 1, kind.zero)
+        self.size: dict[int, int] = {}
+        # Per node: the accumulators before each child, for the traceback.
+        self.steps: dict[int, list[dict]] = {}
+        self.views: dict[int, dict] = {}
+        for v in order:
+            sub = self.weights[v] + sum(self.size[u] - 1 for u in self.kids[v])
+            self.size[v] = min(cap, sub) + 1
+            acc = self._start(v)
+            steps = []
+            for u in self.kids[v]:
+                table = kind.table[(v, u) in self.arcs]
+                child = self.views[u]
+                steps.append(acc)
+                acc = {
+                    dest: _join(
+                        [
+                            convolve(acc[src], _join([child[n] for n in names]))
+                            for src, names in table[dest]
+                        ]
+                    )
+                    for dest in acc
+                    if dest not in kind.shifted
+                }
+                for dest, parts in kind.shifted.items():
+                    acc[dest] = self._shift(_join([acc[p] for p in parts]), self.weights[v])
+            self.steps[v] = steps
+            self.views[v] = kind.views(acc, self.weights[v])
+        self.answer = acc["plus"]
 
-    def _build(self) -> None:
-        arcset = set(self.g.arcs)
-        for start, order, children in _component_orders(self.g):
-            self.roots.append(start)
-            for v in reversed(order):
-                self.tables[v] = self._combine(v, sorted(children[v]), arcset)
+    def _spec(self, v: int) -> dict[str, Optional[int]]:
+        return self.kind.start(self.weights[v], not self.kids[v])
 
-    def _combine(self, v: int, kids: list[int], arcset) -> _NodeTables:
-        t = _NodeTables(
-            plus=_delta(self.cap, self.weights[v]),
-            minus=_delta(self.cap, 0),
-        )
-        for u in kids:
-            cu = self.tables[u]
-            if (v, u) in arcset:  # u in ch+(v): selected parent forces u
-                kind_p, kind_m = "plus", "any"
-            else:  # u in ch-(v): unselected parent forbids u
-                kind_p, kind_m = "any", "minus"
-            t.steps.append((u, kind_p, kind_m, t.plus, t.minus))
-            t.plus = _kernels.or_convolve(t.plus, self._contrib(cu, kind_p))
-            t.minus = _kernels.or_convolve(t.minus, self._contrib(cu, kind_m))
-        return t
-
-    @staticmethod
-    def _contrib(t: _NodeTables, kind: str) -> np.ndarray:
-        if kind == "plus":
-            return t.plus
-        if kind == "minus":
-            return t.minus
-        return t.any
-
-    def reachable(self) -> np.ndarray:
-        """OR-convolution of the per-tree vectors across the forest."""
-        acc = _delta(self.cap, 0)
-        self._forest_steps = []
-        for r in self.roots:
-            self._forest_steps.append(acc)
-            acc = _kernels.or_convolve(acc, self.tables[r].any)
-        return acc
-
-    def extract(self, b: int) -> set[int]:
-        """A witness set of total weight b (reachable(b) must hold)."""
-        out: set[int] = set()
-        t = b
-        for prev, r in zip(reversed(self._forest_steps), reversed(self.roots)):
-            a = _split(prev, self.tables[r].any, t)
-            self._extract_node(r, t - a, None, out)
-            t = a
-        assert t == 0
+    def _start(self, v: int) -> dict:
+        out = {}
+        for state, at in self._spec(v).items():
+            out[state] = vec = self._blank[: self.size[v]].copy()
+            if at is not None and at <= self.cap:
+                vec[at] = self.kind.one
         return out
 
-    def _extract_node(self, v: int, b: int, state: Optional[str], out: set[int]) -> None:
-        t = self.tables[v]
-        if state is None:
-            state = "minus" if t.minus[b] else "plus"
-        if state == "plus":
-            out.add(v)
-        rem = b
-        for u, kind_p, kind_m, acc_p, acc_m in reversed(t.steps):
-            acc = acc_p if state == "plus" else acc_m
-            kind = kind_p if state == "plus" else kind_m
-            contrib = self._contrib(self.tables[u], kind)
-            a = _split(acc, contrib, rem)
-            child_state = None if kind == "any" else kind
-            self._extract_node(u, rem - a, child_state, out)
-            rem = a
-        assert rem == (self.weights[v] if state == "plus" else 0)
+    def _shift(self, vec: np.ndarray, w: int) -> np.ndarray:
+        out = self._blank[: vec.size].copy()
+        out[w:] = vec[: max(0, vec.size - w)]
+        return out
+
+    def witness(self, b: int, threshold) -> set[int]:
+        """A selection of weight b whose virtual-root entry reaches
+        ``threshold``, read with an explicit stack."""
+        out: set[int] = set()
+        stack = [(self.root, "plus", b)]
+        while stack:
+            v, state, rem = stack.pop()
+            if state == "plus" and v != self.root:
+                out.add(v)
+            for u, left in zip(reversed(self.kids[v]), reversed(self.steps[v])):
+                pairs = self.kind.table[(v, u) in self.arcs][state]
+                a, state, view = _split(left, pairs, self.views[u], rem, threshold)
+                stack.append((u, self.kind.view_state[view], rem - a))
+                rem = a
+            # A start vector holds ``one`` at its single weight only.
+            assert self._spec(v)[state] == rem, "corrupt DP table"
+        return out
 
 
 def solve_ssg_tree(
@@ -323,248 +451,12 @@ def solve_ssg_tree(
         raise CapExceeded(
             f"budget {inst.budget} exceeds DP table cap {budget_cap}"
         )
-    dp = _ForestDP(inst.graph, inst.weights, inst.budget)
-    reach = dp.reachable()
-    best = int(np.flatnonzero(reach).max())
-    return Solution(frozenset(dp.extract(best)), best)
-
-
-# ---------------------------------------------------------------------------
-# Maximal strong-closure problem on trees via the sink ordering
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SinkOrder:
-    """Vertices by iterated minimum-weight sinks; ties to smallest id."""
-
-    order: tuple[int, ...]
-    prefix_weights: tuple[int, ...]  # prefix_weights[k] = sum of first k
-    budgets: tuple[int, ...]  # budgets[k] = B - prefix_weights[k]
-
-
-def sink_order(g: Digraph, weights, budget: int) -> SinkOrder:
-    removed: set[int] = set()
-    order: list[int] = []
-    for _ in range(g.n):
-        sinks = [
-            v
-            for v in range(g.n)
-            if v not in removed and all(u in removed for u in g.out_adj[v])
-        ]
-        v = min(sinks, key=lambda x: (weights[x], x))
-        order.append(v)
-        removed.add(v)
-    prefix = [0]
-    for v in order:
-        prefix.append(prefix[-1] + weights[v])
-    budgets = tuple(budget - p for p in prefix)
-    return SinkOrder(tuple(order), tuple(prefix), budgets)
-
-
-# A selection with no addable vertex at all; larger than any weight.
-_NO_ADDABLE = np.int64(2**62)
-
-
-def _score_base(cap: int, at: int) -> np.ndarray:
-    v = np.full(cap + 1, -1, dtype=np.int64)
-    if 0 <= at <= cap:
-        v[at] = _NO_ADDABLE
-    return v
-
-
-@dataclass
-class _MaximalNodeTables:
-    plus: np.ndarray
-    minus_open: np.ndarray
-    minus_closed: np.ndarray
-    # Per combined child: (child, child-in-ch+, plus / minus_open /
-    # minus_closed accumulator vectors before the combination).
-    steps: list = field(default_factory=list)
-
-
-class _MaximalTreeDP:
-    """Addable-vertex score vectors over an oriented tree.
-
-    A feasible selection S is maximal iff every addable vertex (an
-    unselected vertex whose out-neighbours are all selected) has weight
-    above B - w(S).  Per node and total subtree weight b, the tables
-    hold the best (largest) achievable minimum weight over addable
-    vertices, so maximality at total weight b reads off as
-    score(b) > B - b.  Entries are -1 (weight unreachable) or the
-    max-min score, with 2**62 standing for "no addable vertex".
-
-    Table split per node v:
-    - plus: v selected;
-    - minus_open: v unselected, every out-neighbour child selected (v
-      itself becomes addable unless it has an unselected out-neighbour
-      father);
-    - minus_closed: v unselected with an unselected out-neighbour
-      child, so v can never become addable.
-    """
-
-    def __init__(self, g: Digraph, weights, cap: int):
-        self.g = g
-        self.weights = weights
-        self.cap = cap
-        self.tables: dict[int, _MaximalNodeTables] = {}
-        self.roots: list[int] = []
-        arcset = set(g.arcs)
-        for start, order, children in _component_orders(g):
-            self.roots.append(start)
-            for v in reversed(order):
-                self.tables[v] = self._combine(v, sorted(children[v]), arcset)
-
-    def _as_addable(self, u: int) -> np.ndarray:
-        """minus_open of u resolved into "u is addable": min with w(u)."""
-        t = self.tables[u]
-        wu = np.int64(self.weights[u])
-        return np.where(t.minus_open >= 0, np.minimum(t.minus_open, wu), np.int64(-1))
-
-    def _combine(self, v: int, kids: list[int], arcset) -> _MaximalNodeTables:
-        mm = _kernels.maxmin_convolve
-        t = _MaximalNodeTables(
-            plus=_score_base(self.cap, self.weights[v]),
-            minus_open=_score_base(self.cap, 0),
-            minus_closed=np.full(self.cap + 1, -1, dtype=np.int64),
-        )
-        for u in kids:
-            cu = self.tables[u]
-            t.steps.append((u, (v, u) in arcset, t.plus, t.minus_open, t.minus_closed))
-            addable_u = self._as_addable(u)
-            if (v, u) in arcset:
-                # Arc v -> u: selected v forces u; an unselected u is an
-                # unselected out-neighbour of v.  u never points at v,
-                # so an open unselected u is addable right away.
-                unsel = np.maximum(addable_u, cu.minus_closed)
-                any_u = np.maximum(cu.plus, unsel)
-                t.minus_closed = np.maximum(
-                    mm(t.minus_closed, any_u), mm(t.minus_open, unsel)
-                )
-                t.minus_open = mm(t.minus_open, cu.plus)
-                t.plus = mm(t.plus, cu.plus)
-            else:
-                # Arc u -> v: selected u forces v, so under unselected v
-                # the child stays unselected; an open child then keeps v
-                # as an unselected out-neighbour and is not addable.
-                t.plus = mm(
-                    t.plus,
-                    np.maximum(cu.plus, np.maximum(addable_u, cu.minus_closed)),
-                )
-                c = np.maximum(cu.minus_open, cu.minus_closed)
-                t.minus_open = mm(t.minus_open, c)
-                t.minus_closed = mm(t.minus_closed, c)
-        return t
-
-    def _resolved_root(self, r: int) -> np.ndarray:
-        # The root has no father: an open unselected root is addable.
-        t = self.tables[r]
-        return np.maximum(t.plus, np.maximum(self._as_addable(r), t.minus_closed))
-
-    def scores(self) -> np.ndarray:
-        acc = _score_base(self.cap, 0)
-        self._forest_steps = []
-        for r in self.roots:
-            self._forest_steps.append(acc)
-            acc = _kernels.maxmin_convolve(acc, self._resolved_root(r))
-        return acc
-
-    def extract(self, b: int, threshold: int) -> set[int]:
-        """A set of weight b whose addable vertices all weigh >= threshold."""
-        out: set[int] = set()
-        rem = b
-        for prev, r in zip(reversed(self._forest_steps), reversed(self.roots)):
-            t = self.tables[r]
-            opts = (
-                ("plus", t.plus),
-                ("open", self._as_addable(r)),
-                ("closed", t.minus_closed),
-            )
-            rem = self._take_first(prev, opts, rem, threshold, r, out)[1]
-        assert rem == 0
-        return out
-
-    def _take_first(self, left, opts, rem, threshold, u, out):
-        """Smallest split a, options in fixed order; recurses into u."""
-        for a in range(rem + 1):
-            if left[a] < threshold:
-                continue
-            for child_state, arr in opts:
-                if arr[rem - a] >= threshold:
-                    self._extract_node(u, child_state, rem - a, threshold, out)
-                    return child_state, a
-        raise AssertionError("no witness split found (corrupt DP table)")
-
-    def _extract_node(self, v: int, state: str, b: int, threshold: int, out) -> None:
-        tab = self.tables[v]
-        if state == "plus":
-            out.add(v)
-        rem = b
-        for u, plus_child, acc_p, acc_o, acc_c in reversed(tab.steps):
-            cu = self.tables[u]
-            addable_u = self._as_addable(u)
-            if state == "plus":
-                opts = (
-                    (("plus", cu.plus),)
-                    if plus_child
-                    else (
-                        ("plus", cu.plus),
-                        ("open", addable_u),
-                        ("closed", cu.minus_closed),
-                    )
-                )
-                _, rem = self._take_first(acc_p, opts, rem, threshold, u, out)
-            elif state == "open":
-                opts = (
-                    (("plus", cu.plus),)
-                    if plus_child
-                    else (("open", cu.minus_open), ("closed", cu.minus_closed))
-                )
-                _, rem = self._take_first(acc_o, opts, rem, threshold, u, out)
-            elif plus_child:
-                # Closed state over a ch+ child: either it was already
-                # closed, or this unselected child closed an open prefix.
-                done = False
-                for a in range(rem + 1):
-                    for src, left, opts in (
-                        (
-                            "closed",
-                            acc_c,
-                            (
-                                ("plus", cu.plus),
-                                ("open", addable_u),
-                                ("closed", cu.minus_closed),
-                            ),
-                        ),
-                        (
-                            "open",
-                            acc_o,
-                            (("open", addable_u), ("closed", cu.minus_closed)),
-                        ),
-                    ):
-                        if left[a] < threshold:
-                            continue
-                        for child_state, arr in opts:
-                            if arr[rem - a] >= threshold:
-                                self._extract_node(
-                                    u, child_state, rem - a, threshold, out
-                                )
-                                rem = a
-                                state = src
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-                assert done, "no witness split found (corrupt DP table)"
-            else:
-                opts = (("open", cu.minus_open), ("closed", cu.minus_closed))
-                _, rem = self._take_first(acc_c, opts, rem, threshold, u, out)
-        if state == "plus":
-            assert rem == self.weights[v]
-        else:
-            assert state == "open" and rem == 0
+    g = inst.graph
+    if not is_underlying_forest(g):
+        raise SolverError("forest DP requires an oriented forest")
+    dp = _TreeDP(g, inst.weights, inst.budget, _STRONG, g.nodes())
+    best = int(np.flatnonzero(dp.answer).max())
+    return Solution(frozenset(dp.witness(best, True)), best)
 
 
 def solve_maximal_ssg_tree(
@@ -585,131 +477,11 @@ def solve_maximal_ssg_tree(
         )
     if inst.total_weight() <= inst.budget:
         return Solution(frozenset(g.nodes()), inst.total_weight())
-    dp = _MaximalTreeDP(g, inst.weights, inst.budget)
-    scores = dp.scores()
-    for b in range(inst.budget + 1):
-        if scores[b] > inst.budget - b:
-            return Solution(
-                frozenset(dp.extract(b, inst.budget - b + 1)), b
-            )
+    dp = _TreeDP(g, inst.weights, inst.budget, _MAXIMAL, g.nodes())
+    for b in range(dp.answer.size):
+        if dp.answer[b] > inst.budget - b:
+            return Solution(frozenset(dp.witness(b, inst.budget - b + 1)), b)
     raise AssertionError("no maximal solution found (should not happen)")
-
-
-# ---------------------------------------------------------------------------
-# Weak-closure DP on in-rooted and out-rooted trees
-# ---------------------------------------------------------------------------
-
-
-class _OutRootedWeakDP:
-    """Weak-closure feasibility vectors on an out-rooted tree.
-
-    Processes the tree from the anti-root (the unique sink); a node's
-    in-neighbours are exactly its children.  Tracks P_plus / P_minus per
-    node (root of the subtree selected / not selected); a node may stay
-    unselected only when not all of its children are selected, which is
-    the forcing rule.  The all-children-selected combinations are kept in
-    a separate accumulator to make that exclusion exact.
-    """
-
-    def __init__(self, g: Digraph, weights, cap: int):
-        self.g = g
-        self.weights = weights
-        self.cap = cap
-        self.plus: dict[int, np.ndarray] = {}
-        self.minus: dict[int, np.ndarray] = {}
-        self.kids: dict[int, list[int]] = {}
-        self.acc: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        sinks = [v for v in range(g.n) if not g.out_adj[v]]
-        assert len(sinks) == 1
-        self.root = sinks[0]
-        self._build()
-
-    def _build(self) -> None:
-        g = self.g
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(g.in_adj[v])
-        for v in reversed(order):
-            kids = sorted(g.in_adj[v])
-            self.kids[v] = kids
-            all_plus = _delta(self.cap, 0)
-            some_minus = np.zeros(self.cap + 1, dtype=np.bool_)
-            accs = []
-            for u in kids:
-                accs.append((all_plus, some_minus))
-                any_u = self.plus[u] | self.minus[u]
-                some_minus = _kernels.or_convolve(some_minus, any_u) | _kernels.or_convolve(
-                    all_plus, self.minus[u]
-                )
-                all_plus = _kernels.or_convolve(all_plus, self.plus[u])
-            self.acc[v] = accs
-            w = self.weights[v]
-            total = all_plus | some_minus
-            plus = np.zeros(self.cap + 1, dtype=np.bool_)
-            if w <= self.cap:
-                plus[w:] = total[: self.cap + 1 - w]
-            self.plus[v] = plus
-            self.minus[v] = some_minus if kids else _delta(self.cap, 0)
-
-    def reachable(self) -> np.ndarray:
-        return self.plus[self.root] | self.minus[self.root]
-
-    def extract(self, b: int) -> set[int]:
-        out: set[int] = set()
-        self._extract(self.root, b, None, out)
-        return out
-
-    def _extract(self, v: int, b: int, state: Optional[str], out: set[int]) -> None:
-        if state is None:
-            state = "minus" if self.minus[v][b] else "plus"
-        kids = self.kids[v]
-        if state == "plus":
-            out.add(v)
-            rem = b - self.weights[v]
-            # Children may be in any state; walk the combined chain.
-            for i in range(len(kids) - 1, -1, -1):
-                u = kids[i]
-                ap, sm = self.acc[v][i]
-                prev_total = ap | sm
-                any_u = self.plus[u] | self.minus[u]
-                a = _split(prev_total, any_u, rem)
-                self._extract(u, rem - a, None, out)
-                rem = a
-            assert rem == 0
-            return
-        if not kids:
-            assert b == 0
-            return
-        # Minus state: at least one child unselected.
-        rem = b
-        mode = "some_minus"
-        for i in range(len(kids) - 1, -1, -1):
-            u = kids[i]
-            ap, sm = self.acc[v][i]
-            any_u = self.plus[u] | self.minus[u]
-            if mode == "some_minus":
-                found = False
-                for a in range(rem + 1):
-                    if sm[a] and any_u[rem - a]:
-                        self._extract(u, rem - a, None, out)
-                        rem = a
-                        found = True
-                        break
-                    if ap[a] and self.minus[u][rem - a]:
-                        self._extract(u, rem - a, "minus", out)
-                        rem = a
-                        mode = "all_plus"
-                        found = True
-                        break
-                assert found
-            else:
-                a = _split(ap, self.plus[u], rem)
-                self._extract(u, rem - a, "plus", out)
-                rem = a
-        assert rem == 0 and mode == "all_plus"
 
 
 def solve_ssgw_rooted_tree(
@@ -732,10 +504,10 @@ def solve_ssgw_rooted_tree(
         raise SolverError(
             "weak-closure tree DP requires an in-rooted or out-rooted tree"
         )
-    dp = _OutRootedWeakDP(g, inst.weights, inst.budget)
-    reach = dp.reachable()
-    best = int(np.flatnonzero(reach).max())
-    return Solution(frozenset(dp.extract(best)), best)
+    sink = next(v for v in g.nodes() if not g.out_adj[v])
+    dp = _TreeDP(g, inst.weights, inst.budget, _WEAK, [sink])
+    best = int(np.flatnonzero(dp.answer).max())
+    return Solution(frozenset(dp.witness(best, True)), best)
 
 
 # ---------------------------------------------------------------------------

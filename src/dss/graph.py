@@ -9,7 +9,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -137,16 +137,6 @@ def _topological_order(g: Digraph) -> list[int]:
             if indeg[v] == 0:
                 ready.append(v)
     return order
-
-
-def induced_subgraph(g: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[int]]:
-    """Subgraph on ``keep``; returns (subgraph, original ids by new id)."""
-    kept = sorted(g._check_nodes(keep))
-    remap = {v: i for i, v in enumerate(kept)}
-    arcs = [
-        (remap[u], remap[v]) for u, v in g.arcs if u in remap and v in remap
-    ]
-    return Digraph(len(kept), arcs), kept
 
 
 @dataclass(frozen=True)
@@ -345,51 +335,3 @@ def classify(g: Digraph) -> GraphClass:
     if is_in_rooted_tree(g):
         return GraphClass.IN_ROOTED_TREE
     return GraphClass.ORIENTED_TREE
-
-
-@dataclass(frozen=True)
-class RootedTreeView:
-    """Father/children maps of an oriented tree rooted at an arbitrary node.
-
-    ``ch_plus[v]`` holds children u with arc (v,u); ``ch_minus[v]`` holds
-    children u with arc (u,v).  Children are listed in ascending id order.
-    """
-
-    root: int
-    fa: tuple[Optional[int], ...]
-    ch_plus: tuple[tuple[int, ...], ...]
-    ch_minus: tuple[tuple[int, ...], ...]
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.ch_plus[v] + self.ch_minus[v]))
-
-
-def rooted_view(g: Digraph, root: int) -> RootedTreeView:
-    if not is_underlying_tree(g):
-        raise GraphError("rooted_view requires an oriented tree")
-    if not (0 <= root < g.n):
-        raise GraphError(f"root {root} out of range")
-    fa: list[Optional[int]] = [None] * g.n
-    ch_plus: list[list[int]] = [[] for _ in range(g.n)]
-    ch_minus: list[list[int]] = [[] for _ in range(g.n)]
-    arcset = set(g.arcs)
-    seen = {root}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for u in g.out_adj[v] + g.in_adj[v]:
-            if u in seen:
-                continue
-            seen.add(u)
-            fa[u] = v
-            if (v, u) in arcset:
-                ch_plus[v].append(u)
-            else:
-                ch_minus[v].append(u)
-            queue.append(u)
-    return RootedTreeView(
-        root,
-        tuple(fa),
-        tuple(tuple(sorted(c)) for c in ch_plus),
-        tuple(tuple(sorted(c)) for c in ch_minus),
-    )

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -47,3 +48,21 @@ def fig_b_instance() -> WeightedInstance:
 
 def make_instance(g: Digraph, weights, budget, kind=ProblemKind.SSG):
     return WeightedInstance(g, tuple(weights), budget, kind)
+
+
+def deep_path_instance(kind: ProblemKind, n: int, budget: int) -> WeightedInstance:
+    """A path 0 - 1 - ... of n nodes, with weights 0..3 from a fixed seed.
+
+    ssg: every arc points forward.  maximal-ssg: random orientations.
+    ssgw: forward arcs, but the last node points back at node n-3 as its
+    second in-neighbour, so the tree is out-rooted but not in-rooted and
+    the weak DP itself runs.
+    """
+    rng = random.Random(f"deep/{kind.value}/{n}")
+    weights = tuple(rng.randint(0, 3) for _ in range(n))
+    arcs = [(i, i + 1) for i in range(n - 1)]
+    if kind is ProblemKind.MAXIMAL_SSG:
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in arcs]
+    elif kind is ProblemKind.SSGW:
+        arcs[-1] = (n - 1, n - 3)
+    return WeightedInstance(Digraph(n, arcs), weights, budget, kind)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import make_instance
+from conftest import deep_path_instance, make_instance
 
 from dss import (
     CapExceeded,
@@ -16,7 +16,6 @@ from dss import (
     brute_force,
     is_feasible,
     random_instance,
-    sink_order,
     solve_balanced_degree_two,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
@@ -116,21 +115,6 @@ class TestForestDP:
             assert is_feasible(inst, sol.selected)
 
 
-class TestSinkOrder:
-    def test_worked_tree_order(self, fig_b_instance):
-        so = sink_order(
-            fig_b_instance.graph, fig_b_instance.weights, fig_b_instance.budget
-        )
-        # Min-weight sinks in order: v1, v2, then the id tie-break v3, v4.
-        assert so.order[:4] == (0, 1, 2, 3)
-        assert so.prefix_weights[:5] == (0, 1, 2, 4, 6)
-        assert so.budgets[:5] == (4, 3, 2, 0, -2)
-
-    def test_permutation(self, fig_a):
-        so = sink_order(fig_a, [1] * 8, 3)
-        assert sorted(so.order) == list(range(8))
-
-
 class TestMaximalTreeDP:
     def test_whole_tree_when_budget_large(self, fig_b):
         inst = make_instance(fig_b, [1] * 8, 100, ProblemKind.MAXIMAL_SSG)
@@ -189,6 +173,34 @@ class TestWeakTreeDP:
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
             assert is_feasible(inst, sol.selected)
+
+
+class TestDeepTrees:
+    """The tree DPs build and read witnesses without recursion."""
+
+    N = 10**5
+
+    def test_ssg_directed_path(self):
+        inst = deep_path_instance(ProblemKind.SSG, self.N, 7)
+        sol = solve_ssg_tree(inst)
+        # The closed sets of a forward path are its suffixes.
+        suffixes = [0]
+        for w in reversed(inst.weights):
+            suffixes.append(suffixes[-1] + w)
+        assert sol.weight == max(s for s in suffixes if s <= inst.budget)
+        assert is_feasible(inst, sol.selected)
+
+    def test_ssgw_out_rooted_path(self):
+        inst = deep_path_instance(ProblemKind.SSGW, self.N, 7)
+        sol = solve_ssgw_rooted_tree(inst)
+        assert inst.weight_of(sol.selected) == sol.weight
+        assert is_feasible(inst, sol.selected)
+
+    def test_maximal_oriented_path(self):
+        inst = deep_path_instance(ProblemKind.MAXIMAL_SSG, self.N, 7)
+        sol = solve_maximal_ssg_tree(inst)
+        assert inst.weight_of(sol.selected) == sol.weight
+        assert verify_solution(inst, sol).feasible
 
 
 class TestTournament:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FIG_B_ARCS, FIG_B_WEIGHTS
+from conftest import FIG_B_ARCS, FIG_B_WEIGHTS, deep_path_instance
 
 from dss import (
     Digraph,
@@ -163,6 +163,16 @@ class TestCliSolve:
             "arc a b\narc b c\narc a c\n"
         )
         assert main(["solve", str(path), "--algorithm", "tree-dp"]) == 2
+
+    @pytest.mark.parametrize(
+        "kind", [ProblemKind.SSG, ProblemKind.SSGW, ProblemKind.MAXIMAL_SSG]
+    )
+    def test_deep_path(self, kind, tmp_path, capsys):
+        inst = deep_path_instance(kind, 1500, 40)
+        path = tmp_path / "deep.txt"
+        path.write_text(emit_instance(inst, [f"v{i}" for i in range(1500)]))
+        assert main(["solve", str(path)]) == 0
+        assert "feasible true" in capsys.readouterr().out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
