@@ -357,10 +357,9 @@ class _TreeDP:
     The components hang below a virtual root ``g.n`` of weight 0, each
     component root attached as if by an arc into it; the virtual root in
     state ``plus`` leaves them unconstrained, and ``answer`` is its
-    ``plus`` vector.  A node's vectors have
-    length min(cap, subtree weight) + 1, as no selection in the subtree
-    weighs more, and a child's vectors are never longer than its
-    father's.
+    ``plus`` vector.  A node's vectors have length min(cap, subtree
+    weight) + 1, as no selection in the subtree weighs more, and a
+    child's vectors are never longer than its father's.
     """
 
     def __init__(self, g: Digraph, weights, cap: int, kind: _Kind, starts: Iterable[int]):

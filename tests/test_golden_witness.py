@@ -6,8 +6,9 @@
 weights, and budgets 0, total, total + 1 and in between.  Weights are
 small, so many optima tie and the tie-breaks of the tracebacks show.
 
-``python3 tests/test_golden_witness.py`` rewrites the file from the
-solvers as they are; do that only for a deliberate change of witness.
+``PYTHONPATH=src python3 tests/test_golden_witness.py`` rewrites the
+file from the solvers as they are; do that only for a deliberate change
+of witness.
 """
 import json
 import random

@@ -45,7 +45,7 @@ class TestOrConvolve:
     )
     @settings(max_examples=80, deadline=None)
     def test_shorter_b_matches_reference(self, xs, ys):
-        a, b = np.array(xs + ys), np.array(ys[: len(xs) + len(ys) - 1])
+        a, b = np.array(xs + ys), np.array(ys)  # len(b) < len(a)
         n = a.shape[0]
         ref = np.zeros(n, dtype=np.bool_)
         for i in range(n):
@@ -93,7 +93,7 @@ class TestMaxminConvolve:
     @settings(max_examples=80, deadline=None)
     def test_shorter_b_matches_reference(self, xs, ys):
         a = np.array(xs + ys, dtype=np.int64)
-        b = np.array(ys[: len(xs) + len(ys) - 1], dtype=np.int64)
+        b = np.array(ys, dtype=np.int64)  # len(b) < len(a)
         n = a.shape[0]
         ref = np.full(n, -1, dtype=np.int64)
         for i in range(n):
