@@ -1,8 +1,13 @@
 """Exact solvers.
 
 - ``brute_force``: subset enumeration over bitmasks, the ground-truth
-  oracle for every other solver.  The closure scan over all 2^n masks is
-  a hot kernel (see ``_kernels``).
+  oracle for every other solver.  The closure and weight tables of all
+  2^n masks come from ``_kernels`` (O(2^n) memory; see there for time).
+  For the maximal kinds only the feasible masks are then tested, once per
+  component or node: the strong kinds look for a sink component of the
+  unselected part that fits, the weak kinds read the weight of the
+  completion of each mask plus one node from a table of all completions.
+  Ties go to the lexicographically smallest node tuple, chosen with numpy.
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
   boolean feasibility vectors indexed by weight: reachable weights with
@@ -74,67 +79,53 @@ def _neighbour_masks(g: Digraph, incoming: bool) -> np.ndarray:
     return out
 
 
-def _strong_maximal_flags(
-    inst: WeightedInstance, feasible: np.ndarray, weight: np.ndarray
+def _extendable_strong(
+    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
-    """Per-mask maximality for the strong-closure problems."""
-    g = inst.graph
-    n = g.n
-    total = 1 << n
-    masks = np.arange(total, dtype=np.int64)
-    if is_dag(g):
-        outm = _neighbour_masks(g, incoming=False)
-        not_max = np.zeros(total, dtype=np.bool_)
-        for x in range(n):
-            sel_x = (masks >> x) & 1 == 1
-            addable = (
-                ~sel_x
-                & ((masks & outm[x]) == outm[x])
-                & (weight + inst.weights[x] <= inst.budget)
-            )
-            not_max |= addable
-        return feasible & ~not_max
-    # General digraph: closed sets are unions of strongly connected
-    # components; check sink components of the unselected part.
-    cond = condense(g, inst.weights)
-    flags = np.zeros(total, dtype=np.bool_)
-    for mask in np.flatnonzero(feasible):
-        sel = set(_mask_nodes(int(mask), n))
-        sel_comps = {cond.component_of[v] for v in sel}
-        w = int(weight[mask])
-        extendable = False
-        for c in range(cond.dag.n):
-            if c in sel_comps:
-                continue
-            if any(d not in sel_comps for d in cond.dag.out_adj[c]):
-                continue
-            if w + cond.component_weight[c] <= inst.budget:
-                extendable = True
-                break
-        flags[mask] = not extendable
-    return flags
+    """Per closed candidate mask: whether some sink component of the
+    unselected part fits the budget left (``_maximality_strong``).  A
+    closed mask holds each strongly connected component whole or not at
+    all."""
+    cond = condense(inst.graph, inst.weights)
+    comp = [sum(1 << v for v in members) for members in cond.members]
+    slack = inst.budget - weight[cand]
+    out = np.zeros(cand.size, dtype=np.bool_)
+    for c, mask in enumerate(comp):
+        succ = 0
+        for d in cond.dag.out_adj[c]:
+            succ |= comp[d]
+        out |= (
+            ((cand & mask) == 0)
+            & ((cand & succ) == succ)
+            & (cond.component_weight[c] <= slack)
+        )
+    return out
 
 
-def _weak_maximal_flags(
-    inst: WeightedInstance, feasible: np.ndarray, weight: np.ndarray
+def _extendable_weak(
+    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, in_masks: np.ndarray
 ) -> np.ndarray:
-    from .constraints import weak_closure_completion
+    """Per weak-closed candidate mask: whether the completion of the mask
+    plus some unselected node fits the budget (``_maximality_weak``)."""
+    completion = _kernels.weak_completions(in_masks)
+    out = np.zeros(cand.size, dtype=np.bool_)
+    for x in range(inst.graph.n):
+        bit = 1 << x
+        out |= ((cand & bit) == 0) & (weight[completion[cand | bit]] <= inst.budget)
+    return out
 
-    g = inst.graph
-    total = 1 << g.n
-    flags = np.zeros(total, dtype=np.bool_)
-    for mask in np.flatnonzero(feasible):
-        sel = set(_mask_nodes(int(mask), g.n))
-        extendable = False
-        for x in range(g.n):
-            if x in sel:
-                continue
-            grown = weak_closure_completion(g, sel | {x})
-            if inst.weight_of(grown) <= inst.budget:
-                extendable = True
-                break
-        flags[mask] = not extendable
-    return flags
+
+def _lexicographic_first(pool: np.ndarray) -> int:
+    """The mask of ``pool`` whose sorted node tuple is smallest: the empty
+    mask if present, else among the masks with the smallest lowest node,
+    the first once that node is stripped."""
+    chosen = 0
+    while not (pool == 0).any():
+        low = pool & -pool
+        first = low.min()
+        chosen |= int(first)
+        pool = pool[low == first] ^ first
+    return chosen
 
 
 def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Optional[Solution]:
@@ -150,29 +141,26 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Optiona
         raise CapExceeded(f"brute force refused: n={n} exceeds cap {cap}")
     weights = np.asarray(inst.weights, dtype=np.int64)
     if inst.kind.is_weak:
-        closed, weight = _kernels.weak_closed_subsets(
-            _neighbour_masks(g, incoming=True), weights
-        )
+        in_masks = _neighbour_masks(g, incoming=True)
+        closed, weight = _kernels.weak_closed_subsets(in_masks, weights)
     else:
         closed, weight = _kernels.closed_subsets(
             _neighbour_masks(g, incoming=False), weights
         )
-    feasible = closed & (weight <= inst.budget)
+    cand = np.flatnonzero(closed & (weight <= inst.budget))
+    del closed
     if inst.kind.is_maximal:
         if inst.kind.is_weak:
-            feasible = _weak_maximal_flags(inst, feasible, weight)
+            cand = cand[~_extendable_weak(inst, cand, weight, in_masks)]
         else:
-            feasible = _strong_maximal_flags(inst, feasible, weight)
-        candidates = np.flatnonzero(feasible)
-        if candidates.size == 0:
+            cand = cand[~_extendable_strong(inst, cand, weight)]
+        if cand.size == 0:
             return None
-        best = int(weight[candidates].min())
+        best = int(weight[cand].min())
     else:
-        candidates = np.flatnonzero(feasible)
-        best = int(weight[candidates].max())
-    pool = candidates[weight[candidates] == best]
-    chosen = min((_mask_nodes(int(m), n) for m in pool))
-    return Solution(frozenset(chosen), best)
+        best = int(weight[cand].max())
+    chosen = _lexicographic_first(cand[weight[cand] == best])
+    return Solution(frozenset(_mask_nodes(chosen, n)), best)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,23 @@
 
 Everything here is written against the problem definitions directly
 (subset enumeration, reachability matrices, literal superset checks) and
-deliberately shares no code with the library under test.
+deliberately shares no code with the library under test, except
+``brute_force_oracle``: it runs the checker's own predicates on every set,
+so that the vectorised brute force and the checker are held to one
+definition of closure and maximality.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Optional
+
+from dss import Solution, WeightedInstance
+from dss.constraints import (
+    _maximality_strong,
+    _maximality_weak,
+    check_digraph_closure,
+    check_weak_closure,
+)
 
 
 def reach_matrix(n: int, arcs) -> list[list[bool]]:
@@ -96,6 +107,31 @@ def optimum(n: int, arcs, weights, budget: int, kind: str) -> Optional[int]:
         return min(sum(weights[v] for v in s) for s in pool)
     pool = feasible_sets(n, arcs, weights, budget, weak)
     return max(sum(weights[v] for v in s) for s in pool)
+
+
+def brute_force_oracle(inst: WeightedInstance) -> Optional[Solution]:
+    """``exact.brute_force`` on plain sets: every subset that fits the
+    budget and passes the checker's closure test (and, for the maximal
+    kinds, its maximality test) competes; the best weight wins, ties going
+    to the lexicographically smallest sorted node tuple."""
+    g, weak, maximal = inst.graph, inst.kind.is_weak, inst.kind.is_maximal
+    best = None
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            s = set(combo)
+            w = inst.weight_of(s)
+            if w > inst.budget:
+                continue
+            if (check_weak_closure(g, s) if weak else check_digraph_closure(g, s)) is not None:
+                continue
+            if maximal and (_maximality_weak if weak else _maximality_strong)(inst, s) is not None:
+                continue
+            key = (w if maximal else -w, combo)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return Solution(frozenset(best[1]), inst.weight_of(best[1]))
 
 
 def subset_sums(values, cap: int) -> set[int]:

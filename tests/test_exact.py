@@ -11,6 +11,7 @@ from dss import (
     Digraph,
     GraphClass,
     ProblemKind,
+    Solution,
     SolverError,
     WeightedInstance,
     brute_force,
@@ -60,6 +61,14 @@ class TestBruteForce:
         sol = brute_force(inst)
         assert sol.selected == frozenset({0})
 
+    @pytest.mark.parametrize("kind", ProblemKind, ids=lambda k: k.value)
+    def test_tie_break_over_every_subset(self, kind):
+        # No arcs and zero weights: all 2^20 sets tie.  The empty set wins
+        # the maximization; only the full set is maximal.
+        inst = make_instance(Digraph(20, []), [0] * 20, 0, kind)
+        expected = frozenset(range(20)) if kind.is_maximal else frozenset()
+        assert brute_force(inst) == Solution(expected, 0)
+
     def test_cap(self):
         g = Digraph(21, [])
         inst = make_instance(g, [1] * 21, 5, ProblemKind.SSG)
@@ -70,6 +79,46 @@ class TestBruteForce:
         inst = make_instance(Digraph(1, []), [5], 4, ProblemKind.MAXIMAL_SSG)
         sol = brute_force(inst)
         assert sol.selected == frozenset() and sol.weight == 0
+
+
+def _oracle_case(seed, dag):
+    """Seeded instance of 0..10 nodes: a DAG over shuffled ids, or a
+    digraph with a cycle through 2..n nodes so that it has a multi-node
+    strongly connected component; ~25% zero weights; a budget of 0, the
+    total, above it, or random."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 10)
+    p = rng.uniform(0.05, 0.5)
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(n)
+        if (i < j or (not dag and i != j)) and rng.random() < p
+    }
+    if not dag and n >= 2:
+        ring = rng.sample(range(n), rng.randint(2, n))
+        arcs |= set(zip(ring, ring[1:] + ring[:1]))
+    weights = [0 if rng.random() < 0.25 else rng.randint(1, 9) for _ in range(n)]
+    total = sum(weights)
+    budget = rng.choice([0, total, total + 1, rng.randint(0, total)])
+    return Digraph(n, sorted(arcs)), tuple(weights), budget
+
+
+class TestMatchesSetOracle:
+    """``brute_force`` equals a set-by-set run of the checker's closure and
+    maximality predicates, tie-break included."""
+
+    @pytest.mark.parametrize("dag", [True, False], ids=["dag", "general"])
+    def test_random_instances(self, dag):
+        for seed in range(600):
+            g, weights, budget = _oracle_case(seed, dag)
+            for kind in ProblemKind:
+                inst = WeightedInstance(g, weights, budget, kind)
+                assert brute_force(inst) == oracles.brute_force_oracle(inst), (
+                    f"seed {seed} {kind.value}"
+                )
 
 
 class TestForestDP:

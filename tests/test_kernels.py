@@ -127,7 +127,57 @@ def _closed_reference(masks, weights, weak=False):
     return closed, weight
 
 
+def _ordered_masks(seed, n, higher):
+    """Random masks in which every neighbour of node i has a higher (or
+    every one a lower) id than i: the doubling applies the two directions
+    at different steps."""
+    masks, weights = _random_masks(seed, n)
+    below = (np.int64(1) << np.arange(n, dtype=np.int64)) - 1
+    return (masks & ~below if higher else masks & below), weights
+
+
+_EDGE_CASES = {
+    "n0": _random_masks(0, 0),
+    "n1": _random_masks(0, 1),
+    "higher": _ordered_masks(5, 8, True),
+    "lower": _ordered_masks(6, 8, False),
+}
+
+
+def _completion_reference(masks):
+    """Per mask, the weak forcing rule applied until nothing changes."""
+    n = masks.shape[0]
+    out = np.zeros(1 << n, dtype=np.int64)
+    for m in range(1 << n):
+        grown = m
+        while True:
+            step = grown
+            for x in range(n):
+                if masks[x] != 0 and grown & masks[x] == masks[x]:
+                    step |= 1 << x
+            if step == grown:
+                break
+            grown = step
+        out[m] = grown
+    return out
+
+
 class TestSubsetKernels:
+    @pytest.mark.parametrize("case", _EDGE_CASES)
+    def test_edge_cases_match_reference(self, case):
+        masks, weights = _EDGE_CASES[case]
+        for weak, kernel in ((False, _kernels.closed_subsets), (True, _kernels.weak_closed_subsets)):
+            got_c, got_w = kernel(masks, weights)
+            ref_c, ref_w = _closed_reference(masks, weights, weak=weak)
+            assert np.array_equal(got_c, ref_c)
+            assert np.array_equal(got_w, ref_w)
+
+    @pytest.mark.parametrize("case", ["random", *_EDGE_CASES])
+    def test_weak_completions_match_reference(self, case):
+        masks, _ = {"random": _random_masks(7, 8), **_EDGE_CASES}[case]
+        got = _kernels.weak_completions(masks)
+        assert np.array_equal(got, _completion_reference(masks))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_backends_agree(self, seed):
         masks, weights = _random_masks(seed, 8)
