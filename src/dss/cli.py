@@ -202,8 +202,6 @@ def _solve_auto(inst: WeightedInstance, k: int) -> Solution:
             raise
         except exact.SolverError:
             continue
-        if sol is None:
-            raise exact.SolverError("instance admits no feasible solution")
         return sol
     raise exact.SolverError("no applicable solver for this instance")
 
@@ -216,8 +214,6 @@ def cmd_solve(args) -> int:
         sol = _solve_auto(inst, args.k)
     elif args.algorithm == "brute":
         sol = exact.brute_force(inst)
-        if sol is None:
-            raise exact.SolverError("instance admits no feasible solution")
     elif args.algorithm == "tree-dp":
         sol = _solve_tree_dp(inst)
     elif args.algorithm == "tournament":
@@ -409,9 +405,7 @@ def cmd_bench(args) -> int:
                     iid = f"{cls.value}-n{n}-s{seed}-{kind.value}"
                     optimal: Optional[int] = None
                     if n <= exact.DEFAULT_BRUTE_CAP:
-                        opt_sol = exact.brute_force(inst)
-                        if opt_sol is not None:
-                            optimal = opt_sol.weight
+                        optimal = exact.brute_force(inst).weight
                     for k in k_list:
                         start = time.perf_counter()
                         sol = _solve_ptas(inst, k)

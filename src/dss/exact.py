@@ -128,12 +128,10 @@ def _lexicographic_first(pool: np.ndarray) -> int:
     return chosen
 
 
-def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Optional[Solution]:
+def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solution:
     """Exhaustive optimum for any of the four problems.
 
     Ties are broken toward the lexicographically smallest selected set.
-    Returns None only when no feasible solution exists (never happens for
-    the non-maximal kinds, where the empty set is feasible).
     """
     g = inst.graph
     n = g.n
@@ -154,8 +152,10 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Optiona
             cand = cand[~_extendable_weak(inst, cand, weight, in_masks)]
         else:
             cand = cand[~_extendable_strong(inst, cand, weight)]
-        if cand.size == 0:
-            return None
+        # The empty set is closed under both rules and fits any budget, so
+        # feasible sets exist; one that no feasible set strictly contains
+        # cannot be extended, so it is maximal.
+        assert cand.size, "a feasible set exists, so a maximal one does"
         best = int(weight[cand].min())
     else:
         best = int(weight[cand].max())

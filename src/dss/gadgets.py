@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Digraph, GraphClass, is_dag
+from .graph import Digraph, GraphClass, is_dag, sorted_pairs
 from .instance import InstanceError, ProblemKind, WeightedInstance
 
 
@@ -31,13 +31,14 @@ class UndirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = sorted({(min(u, v), max(u, v)) for u, v in self.edges})
-        if len(norm) != len(self.edges) or any(u == v for u, v in norm):
-            raise InstanceError("edges must be simple and loop-free")
-        for u, v in norm:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InstanceError(f"edge ({u},{v}) out of range")
-        object.__setattr__(self, "edges", tuple(norm))
+        norm = [(u, v) if u < v else (v, u) for u, v in self.edges]
+        edges = sorted_pairs(self.n, norm)
+        if edges is None:
+            if len(set(norm)) != len(norm) or any(u == v for u, v in norm):
+                raise InstanceError("edges must be simple and loop-free")
+            u, v = min(e for e in norm if not (0 <= e[0] < self.n and 0 <= e[1] < self.n))
+            raise InstanceError(f"edge ({u},{v}) out of range")
+        object.__setattr__(self, "edges", edges)
 
     def neighbours(self, v: int) -> list[int]:
         out = [b for a, b in self.edges if a == v]

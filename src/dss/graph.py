@@ -7,9 +7,13 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -27,6 +31,54 @@ class GraphClass(enum.Enum):
     BALANCED_DEGREE_TWO = "balanced-degree-two"
 
 
+def sorted_pairs(n: int, pairs: list) -> Optional[tuple]:
+    """``pairs`` in increasing order, as a tuple of the caller's own pair
+    objects; None when a pair is not two int64 values in ``range(n)``, is
+    a loop or repeats another.
+
+    One numpy sort of the codes ``u*n + v`` replaces a set and a sort of
+    tuples.  numpy also converts ``1.0`` or ``"1"`` to ``1``; ``Digraph``
+    rejects such ids when it indexes its adjacency lists by them.
+    """
+    m = len(pairs)
+    if m == 0:
+        return ()
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * m)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    tail, head = flat[0::2], flat[1::2]
+    if flat.min() < 0 or flat.max() >= n or (tail == head).any():
+        return None
+    code = tail * n
+    code += head
+    del flat, tail, head
+    order = np.argsort(code)
+    code = code[order]
+    if (code[1:] == code[:-1]).any():
+        return None
+    return tuple(np.fromiter(pairs, dtype=object, count=m)[order])
+
+
+def _arc_error(n: int, arcs: list) -> GraphError:
+    """Why ``arcs`` cannot be the arcs of a digraph on ``n`` nodes: an arc
+    that is not a pair of integers, else a duplicate, else the first arc
+    in sorted order that is out of range or a loop."""
+    try:
+        pairs = [(operator.index(u), operator.index(v)) for u, v in arcs]
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is not None:
+        if len(set(pairs)) != len(pairs):
+            return GraphError("duplicate arc")
+        for u, v in sorted(pairs):
+            if not (0 <= u < n and 0 <= v < n):
+                return GraphError(f"arc ({u},{v}) out of range for n={n}")
+            if u == v:
+                return GraphError(f"loop at node {u}")
+    return GraphError("arcs must be pairs of integer node ids")
+
+
 class Digraph:
     """Immutable simple digraph: no loops, no duplicate arcs."""
 
@@ -36,22 +88,21 @@ class Digraph:
         if n < 0:
             raise GraphError("node count must be nonnegative")
         raw = list(arcs)
-        arc_list = sorted(set(raw))
-        if len(arc_list) != len(raw):
-            raise GraphError("duplicate arc")
+        ordered = sorted_pairs(n, raw)
+        if ordered is None:
+            raise _arc_error(n, raw)
         out_adj: list[list[int]] = [[] for _ in range(n)]
         in_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arc_list:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"loop at node {u}")
-            out_adj[u].append(v)
-            in_adj[v].append(u)
+        try:
+            for u, v in ordered:
+                out_adj[u].append(v)
+                in_adj[v].append(u)
+        except (TypeError, ValueError):  # ids numpy took for integers, e.g. 1.0
+            raise _arc_error(n, raw) from None
         self.n = n
-        self.arcs = tuple(arc_list)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
+        self.arcs = ordered
+        self.out_adj = tuple(map(tuple, out_adj))
+        self.in_adj = tuple(map(tuple, in_adj))
         self._hash = hash((n, self.arcs))
 
     def __eq__(self, other) -> bool:
@@ -249,6 +300,8 @@ def _underlying_edges(g: Digraph) -> set[tuple[int, int]]:
 def is_underlying_forest(g: Digraph) -> bool:
     """True when the underlying undirected graph is acyclic and simple
     (no opposite arc pair)."""
+    if g.n and len(g.arcs) >= g.n:
+        return False  # a forest has at most n - 1 edges
     edges = _underlying_edges(g)
     if len(edges) != len(g.arcs):
         return False  # opposite arcs collapse to one edge

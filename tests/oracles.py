@@ -12,13 +12,42 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from dss import Solution, WeightedInstance
+from dss import Digraph, GraphError, Solution, WeightedInstance
 from dss.constraints import (
     _maximality_strong,
     _maximality_weak,
     check_digraph_closure,
     check_weak_closure,
 )
+
+
+def reference_digraph(n: int, arcs) -> Digraph:
+    """The ``Digraph`` constructor as a set and a sort of tuples: the arcs
+    are ``sorted(set(arcs))``, a repeat is an error, then one scan checks
+    each arc in sorted order for range and then for a loop and fills the
+    adjacency.  Builds the instance without calling ``Digraph.__init__``."""
+    if n < 0:
+        raise GraphError("node count must be nonnegative")
+    raw = list(arcs)
+    arc_list = sorted(set(raw))
+    if len(arc_list) != len(raw):
+        raise GraphError("duplicate arc")
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arc_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"arc ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"loop at node {u}")
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    g = object.__new__(Digraph)
+    g.n = n
+    g.arcs = tuple(arc_list)
+    g.out_adj = tuple(tuple(a) for a in out_adj)
+    g.in_adj = tuple(tuple(a) for a in in_adj)
+    g._hash = hash((n, g.arcs))
+    return g
 
 
 def reach_matrix(n: int, arcs) -> list[list[bool]]:

@@ -93,6 +93,70 @@ class TestInstanceFormat:
         assert fragment in str(exc.value)
 
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "problem ssg\nbudget 1\nnode a 1\nnode b 1\narc a b\narc b a\n"
+                "arc a b\narc b a\n",
+                "line 7: duplicate arc a -> b",
+            ),
+            (
+                "problem ssg\nbudget 1\nnode a 1\nnode b 1\narc a b\narc a b\n"
+                "frobnicate\n",
+                "line 6: duplicate arc a -> b",
+            ),
+            (
+                "problem ssg\nbudget 1\nnode a 1\nnode b 1\narc a b\narc a b\n"
+                "arc a c\n",
+                "line 6: duplicate arc a -> b",
+            ),
+            (
+                "budget 1\nnode a 1\nnode b 1\narc a b # x\n\narc a   b\n",
+                "line 6: duplicate arc a -> b",
+            ),
+            (
+                "problem ssg\nbudget 1\nnode a 1\nnode b 1\narc a b\nfrobnicate\n"
+                "arc a b\n",
+                "line 6: unknown directive 'frobnicate'",
+            ),
+            (
+                "problem ssg\nbudget 9223372036854775808\nnode a 1\nnode b 1\n"
+                "arc a b\narc b a\n",
+                "budget out of 63-bit nonnegative range",
+            ),
+        ],
+        ids=[
+            "line-of-first-repeat", "before-unknown-directive", "before-undeclared",
+            "before-missing-problem", "after-unknown-directive", "instance-error",
+        ],
+    )
+    def test_error_messages_and_precedence(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
+    def test_comments_crlf_and_tabs(self):
+        text = (
+            "# header\r\nproblem\tmaximal-ssg # kind\r\nbudget 4#no space\r\n"
+            "\tnode v1\t1\r\n" + "".join(
+                f"node v{i} {w} # weight\r\n" for i, w in enumerate(FIG_B_WEIGHTS[1:], 2)
+            )
+            + "".join(f"arc\tv{u + 1}\tv{v + 1}\t# arc\r\n" for u, v in FIG_B_ARCS)
+        )
+        assert parse_instance(text) == parse_instance(FIG_B_TEXT)
+
+    def test_round_trip_shuffled_tournament(self):
+        inst = random_instance(GraphClass.TOURNAMENT, 200, seed=3)
+        labels = [f"t{i}" for i in range(200)]
+        lines = emit_instance(inst, labels).splitlines()
+        head, arcs = lines[: 2 + 200], lines[2 + 200 :]
+        random.Random(4).shuffle(arcs)
+        inst2, labels2 = parse_instance("\n".join(head + arcs))
+        assert len(inst2.graph.arcs) == 200 * 199 // 2
+        assert inst2 == inst and labels2 == labels
+
+
 class TestSolutionFormat:
     def test_round_trip(self):
         sol = Solution(frozenset({0, 2}), 3)
@@ -122,9 +186,9 @@ class TestEdgeList:
         assert graph.edges == ((0, 1), (1, 2))
 
     def test_rejects_loop_and_duplicate(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^line 1: self-loop edge$"):
             parse_edge_list("edge a a\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^duplicate edge$"):
             parse_edge_list("edge a b\nedge b a\n")
 
 

@@ -72,6 +72,28 @@ def exact_budget_reachable(inst: WeightedInstance, cap: int = 24) -> bool:
     return sol is not None and sol.weight == inst.budget
 
 
+class TestUndirectedGraph:
+    def test_edges_normalised_and_sorted(self):
+        g = UndirectedGraph(5, ((3, 1), (0, 4), (1, 0), (2, 4)))
+        assert g.edges == ((0, 1), (0, 4), (1, 3), (2, 4))
+        assert UndirectedGraph(0, ()).edges == ()
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (((0, 1), (1, 0)), "edges must be simple and loop-free"),
+            (((0, 9), (2, 2)), "edges must be simple and loop-free"),
+            (((3, 7), (1, 0), (5, 1)), "edge (1,5) out of range"),
+            (((-1, 2),), "edge (-1,2) out of range"),
+        ],
+        ids=["reversed-repeat", "loop-before-range", "first-in-order", "negative"],
+    )
+    def test_errors(self, edges, message):
+        with pytest.raises(InstanceError) as exc:
+            UndirectedGraph(4, edges)
+        assert str(exc.value) == message
+
+
 class TestCliqueReduction:
     def test_rejects_irregular(self):
         g = UndirectedGraph(3, ((0, 1), (1, 2)))

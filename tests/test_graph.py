@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,85 @@ class TestDigraph:
         a = Digraph(3, [(0, 1)])
         b = Digraph(3, [(0, 1)])
         assert a == b and hash(a) == hash(b)
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert got.n == ref.n and got.arcs == ref.arcs
+        assert got.out_adj == ref.out_adj and got.in_adj == ref.in_adj
+        assert got == ref and hash(got) == hash(ref)
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_constructor(self, g, data):
+        arcs = data.draw(st.permutations(g.arcs))
+        self.assert_same(Digraph(g.n, arcs), oracles.reference_digraph(g.n, arcs))
+
+    @pytest.mark.parametrize(
+        "n,arcs",
+        [(0, []), (1, []), (5, [(3, 1)]), (6, [(5, 0), (0, 5), (2, 4)])],
+        ids=["empty", "one-node", "isolated-nodes", "isolated-and-opposite"],
+    )
+    def test_small_graphs_match_reference(self, n, arcs):
+        g = Digraph(n, iter(arcs))
+        self.assert_same(g, oracles.reference_digraph(n, arcs))
+        assert len(g.out_adj) == len(g.in_adj) == n
+
+    @pytest.mark.parametrize(
+        "n,arcs,message",
+        [
+            (-1, [], "node count must be nonnegative"),
+            (3, [(2, 2), (0, 1), (0, 1)], "duplicate arc"),
+            (3, [(0, 5), (1, 0), (1, 0)], "duplicate arc"),
+            (3, [(2, 2), (1, 7)], "arc (1,7) out of range for n=3"),
+            (3, [(1, 7), (0, 0)], "loop at node 0"),
+            (3, [(0, 1), (-1, 2)], "arc (-1,2) out of range for n=3"),
+            (0, [(0, 0)], "arc (0,0) out of range for n=0"),
+            (3, [(2**70, 0)], f"arc ({2**70},0) out of range for n=3"),
+            (3, [(-(2**70), 0), (1, 1)], f"arc ({-(2**70)},0) out of range for n=3"),
+        ],
+        ids=[
+            "negative-n", "duplicate-before-loop", "duplicate-before-range",
+            "range-first-in-order", "loop-first-in-order", "negative-id", "n0",
+            "beyond-int64", "below-int64",
+        ],
+    )
+    def test_errors_and_their_precedence(self, n, arcs, message):
+        for build in (Digraph, oracles.reference_digraph):
+            with pytest.raises(GraphError) as exc:
+                build(n, arcs)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [[(0.5, 1)], [(0, 1.0)], [("1", 2)], [(None, 1)], [(0, 1, 2)], [(1,)],
+         [(0, 1, 2), (1,)], [3]],
+        ids=["float", "integral-float", "string", "none", "triple", "single",
+             "misaligned", "not-a-pair"],
+    )
+    def test_rejects_non_integer_ids(self, arcs):
+        with pytest.raises(GraphError) as exc:
+            Digraph(3, arcs)
+        assert str(exc.value) == "arcs must be pairs of integer node ids"
+
+    def test_peak_memory_within_reference(self):
+        """The numpy sort must not allocate more at its peak than the set
+        and sort of tuples it replaced (about 60k arcs, one process)."""
+        n = 347
+        order = list(range(n))
+        random.Random(7).shuffle(order)
+        arcs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        random.Random(8).shuffle(arcs)
+        peaks = []
+        for build in (oracles.reference_digraph, Digraph):
+            tracemalloc.start()
+            try:
+                g = build(n, arcs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del g
+        assert len(arcs) == 60031
+        assert peaks[1] <= peaks[0]
 
 
 class TestReachability:
