@@ -1,14 +1,21 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels: Python-int bitsets and numpy.
 
 Kernels:
 
-- ``or_convolve(a, b)``: boolean OR-convolution of two feasibility
-  vectors, capped at the length of ``a``; ``b`` may be shorter.  This is
-  the inner loop of the tree dynamic programs.
+- ``shift_or(a, b, nbits)``: boolean convolution of two reachable-weight
+  bitsets (bit b of an int means "weight b is reachable"), cut to
+  ``nbits`` bits: the OR of ``b << s`` over the set bits s of ``a``.  It
+  loops over the runs of set bits of the operand with fewer runs, and a
+  run of r bits costs O(log r) shift-ORs (doubling), so an interval of
+  reachable weights costs about as much as a single weight.  This is the
+  inner loop of the boolean tree dynamic programs.
+- ``reverse_bits(x, nbits)``: the ``nbits`` low bits of ``x`` in reverse
+  order, so that the traceback can meet two bitsets at a fixed sum.
 - ``maxmin_convolve(a, b)``: (max, min) convolution of two score
   vectors, capped at the length of ``a``; ``b`` may be shorter.  Entry
   -1 means unreachable.  Inner loop of the maximal-minimization tree
-  program.
+  program.  It loops over the set entries of whichever operand has fewer
+  of them and merges a slice of the other operand per entry.
 - ``closed_subsets(out_masks, weights)``: for every bitmask over n
   nodes, whether the subset is closed under "selected implies all
   out-neighbours selected", plus its total weight.
@@ -25,9 +32,6 @@ applies only the rules whose highest node is i.  The closure tables take
 O(2^n) time and memory for the strong rule; a weak rule costs 2^t at its
 highest node t.  The completions add ceil(log2 n) + 1 gathers of 2^n at
 most.
-
-Both convolutions loop over the set entries of whichever operand has
-fewer of them and merge a slice of the other operand per entry.
 """
 from __future__ import annotations
 
@@ -37,16 +41,41 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def or_convolve(a, b):
-    n = a.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    ia, ib = a.nonzero()[0], b.nonzero()[0]
-    if ib.size < ia.size:
-        a, b, ia = b, a, ib
-    for s in ia:
-        seg = b[: n - s]
-        out[s : s + seg.shape[0]] |= seg
-    return out
+def _runs(x: int) -> int:
+    """Twice the number of runs of set bits of x (x >= 0)."""
+    return (x ^ (x >> 1)).bit_count()
+
+
+def shift_or(a: int, b: int, nbits: int) -> int:
+    if _runs(b) < _runs(a):
+        a, b = b, a
+    bits = bin(a)[:1:-1]  # bits[i] is bit i of a
+    out = 0
+    s = bits.find("1")
+    while s >= 0:
+        end = bits.find("0", s)
+        if end < 0:
+            end = len(bits)
+        # b << k for every k < end - s, by doubling: k < c, then k < 2c.
+        x, c = b, 1
+        while 2 * c <= end - s:
+            x |= x << c
+            c *= 2
+        if end - s > c:
+            x |= x << (end - s - c)
+        out |= x << s
+        s = bits.find("1", end)
+    return out & ((1 << nbits) - 1)
+
+
+# Byte i with its eight bits in reverse order.
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def reverse_bits(x: int, nbits: int) -> int:
+    nbytes = (nbits + 7) >> 3
+    data = x.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(data, "big") >> (8 * nbytes - nbits)
 
 
 def maxmin_convolve(a, b):

@@ -11,7 +11,8 @@
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
   boolean feasibility vectors indexed by weight: reachable weights with
-  the subtree root selected / not selected.
+  the subtree root selected / not selected.  Boolean vectors are Python
+  ints, one bit per weight, merged by shift-OR (``_kernels.shift_or``).
 - ``solve_maximal_ssg_tree``: maximal-minimization DP on oriented
   trees tracking, per total weight, the best achievable minimum weight
   over vertices that could still be added.
@@ -19,13 +20,19 @@
   out-rooted trees.
 
   The three tree DPs are state tables (``_STRONG``, ``_MAXIMAL``,
-  ``_WEAK``) run by one iterative skeleton, ``_TreeDP``.
+  ``_WEAK``) run by one iterative skeleton, ``_TreeDP``.  A table names
+  its vector algebra: ``_Bits`` (int bitsets) for the two boolean kinds,
+  ``_Scores`` (numpy int64) for the maximal kind.  The traceback keeps
+  every node's vectors and its accumulators from before each child, so
+  memory is O(sum of the cut vector lengths): bits for the boolean
+  kinds.
 - ``solve_tournament`` and ``solve_balanced_degree_two``: the two
   polynomial special cases.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -192,6 +199,109 @@ def _component_orders(g: Digraph, starts: Iterable[int]):
         yield start, order, children
 
 
+class _Bits:
+    """Boolean vectors as Python ints: bit b set means "a selection of
+    weight b is reachable".  A vector of length ``size`` is an int below
+    2**size."""
+
+    @staticmethod
+    def start(size: int, at: Optional[int]) -> int:
+        return 0 if at is None or at >= size else 1 << at
+
+    @staticmethod
+    def merge(a: int, b: int, size: int) -> int:
+        return _kernels.shift_or(a, b, size)
+
+    @staticmethod
+    def join(vectors) -> int:
+        return functools.reduce(operator.or_, vectors)
+
+    @staticmethod
+    def shift(vec: int, w: int, size: int) -> int:
+        return (vec << w) & ((1 << size) - 1)
+
+    @staticmethod
+    def split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
+        """(a, source, view): the smallest a with bit a of left[source]
+        and bit rem - a of views[view] set, then the first pair and view
+        in table order.  With k the view's length, at most rem + 1, and
+        lo = rem + 1 - k, bit i of the view's k low bits reversed is bit
+        rem - (lo + i) of the view, so it meets bit lo + i of left."""
+        best = None
+        for src, names in pairs:
+            for name in names:
+                k = min(views[name].bit_length(), rem + 1)
+                lo = rem + 1 - k
+                hit = (left[src] >> lo) & _kernels.reverse_bits(
+                    views[name] & ((1 << k) - 1), k
+                )
+                if hit:
+                    a = lo + (hit & -hit).bit_length() - 1
+                    if best is None or a < best[0]:
+                        best = (a, src, name)
+        assert best is not None, "no witness split found (corrupt DP table)"
+        return best
+
+    @staticmethod
+    def best(answer: int, budget: int) -> tuple[int, None]:
+        """The largest reachable weight; a witness needs no threshold."""
+        return answer.bit_length() - 1, None
+
+
+class _Scores:
+    """(max, min) score vectors as numpy int64 arrays, -1 where the
+    weight is unreachable.  No shift: ``_MAXIMAL`` has no shifted state."""
+
+    # A selection with no addable vertex at all; larger than any weight.
+    NO_ADDABLE = np.int64(2**62)
+
+    @staticmethod
+    def start(size: int, at: Optional[int]) -> np.ndarray:
+        vec = np.full(size, -1, dtype=np.int64)
+        if at is not None and at < size:
+            vec[at] = _Scores.NO_ADDABLE
+        return vec
+
+    @staticmethod
+    def merge(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+        return _kernels.maxmin_convolve(a, b)
+
+    @staticmethod
+    def join(vectors) -> np.ndarray:
+        return functools.reduce(np.maximum, vectors)
+
+    @staticmethod
+    def split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
+        """(a, source, view): the smallest a with left[source][a] and
+        views[view][rem - a] both >= threshold, then the first pair and
+        view in table order."""
+        best = None
+        for src, names in pairs:
+            lvec = left[src]
+            for name in names:
+                rvec = views[name]
+                # The vectors of one node share a length, so lo is the same
+                # for every pair and view: a hit at lo cannot be beaten.
+                lo, hi = max(0, rem + 1 - rvec.size), min(rem, lvec.size - 1)
+                ok = (lvec[lo : hi + 1] >= threshold) & (
+                    rvec[rem - hi : rem - lo + 1][::-1] >= threshold
+                )
+                i = int(ok.argmax())
+                if ok[i] and (best is None or lo + i < best[0]):
+                    best = (lo + i, src, name)
+                    if i == 0:
+                        return best
+        assert best is not None, "no witness split found (corrupt DP table)"
+        return best
+
+    @staticmethod
+    def best(answer: np.ndarray, budget: int) -> tuple[int, int]:
+        """The smallest weight b whose score exceeds B - b, i.e. at which
+        no addable vertex fits, and the threshold a witness must reach."""
+        b = int(np.flatnonzero(answer > budget - np.arange(answer.size))[0])
+        return b, budget - b + 1
+
+
 # Pairs (source state, child views) per destination state.
 _Table = dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
 
@@ -202,23 +312,24 @@ class _Kind:
     booleans that is (OR, AND).
 
     Each node keeps one vector per state, indexed by the total weight of
-    a selection in its subtree.  ``start(w, leaf)`` gives, per state, the
-    one weight at which it holds ``one`` before any child is merged
-    (None: nowhere).  ``table[arc v -> u]`` maps each state of v to its
-    (source state, child views) pairs: the views are joined, merged into
-    the source's accumulator, and the pairs joined.  The traceback takes
-    the smallest split, then the first pair and the first view in table
-    order.  ``views(acc, w)`` gives the vectors a father reads, and
-    ``view_state`` the state each view resolves the child into.  The
-    state ``plus`` means "node selected".  A ``shifted`` state is built
-    after each child step as the join of other states moved up by the
-    node weight, which must equal what its table pairs give; its pairs
-    then only drive the traceback, and the step saves a convolution.
+    a selection in its subtree.  ``ops`` is the vector algebra (start,
+    merge, join, shift, split search and answer read-out): ``_Bits`` for
+    booleans, ``_Scores`` for (max, min) scores.  ``start(w, leaf)``
+    gives, per state, the one weight at which it holds ``one`` before any
+    child is merged (None: nowhere).
+    ``table[arc v -> u]`` maps each state of v to its (source state, child
+    views) pairs: the views are joined, merged into the source's
+    accumulator, and the pairs joined.  The traceback takes the smallest
+    split, then the first pair and the first view in table order.
+    ``views(acc, w)`` gives the vectors a father reads, and ``view_state``
+    the state each view resolves the child into.  The state ``plus``
+    means "node selected".  A ``shifted`` state is built after each child
+    step as the join of other states moved up by the node weight, which
+    must equal what its table pairs give; its pairs then only drive the
+    traceback, and the step saves a merge.
     """
 
-    kernel: str  # convolution in ``_kernels``, looked up at each call
-    zero: np.generic
-    one: np.generic
+    ops: type
     start: Callable[[int, bool], dict[str, Optional[int]]]
     table: dict[bool, _Table]
     views: Callable[[dict, int], dict]
@@ -229,9 +340,7 @@ class _Kind:
 # Strong closure on an oriented forest: a selected v forces a ch+ child
 # (arc v -> u); an unselected v forbids a ch- child (arc u -> v).
 _STRONG = _Kind(
-    kernel="or_convolve",
-    zero=np.False_,
-    one=np.True_,
+    ops=_Bits,
     start=lambda w, leaf: {"plus": w, "minus": 0},
     table={
         True: {
@@ -247,9 +356,6 @@ _STRONG = _Kind(
     view_state={"plus": "plus", "minus": "minus"},
 )
 
-# A selection with no addable vertex at all; larger than any weight.
-_NO_ADDABLE = np.int64(2**62)
-
 # Maximal strong closure on an oriented tree.  A feasible selection S is
 # maximal iff every addable vertex (unselected, all out-neighbours
 # selected) weighs more than B - w(S).  Entries hold the best (largest)
@@ -260,9 +366,7 @@ _NO_ADDABLE = np.int64(2**62)
 # unselected ch+ child.  The view ``addable`` is an open child whose
 # father does not block it.
 _MAXIMAL = _Kind(
-    kernel="maxmin_convolve",
-    zero=np.int64(-1),
-    one=_NO_ADDABLE,
+    ops=_Scores,
     start=lambda w, leaf: {"plus": w, "open": 0, "closed": None},
     table={
         True: {
@@ -291,9 +395,7 @@ _MAXIMAL = _Kind(
 # selected v leaves its children free, and all_plus | some_minus covers
 # every choice of them, so plus is that join moved up by w.
 _WEAK = _Kind(
-    kernel="or_convolve",
-    zero=np.False_,
-    one=np.True_,
+    ops=_Bits,
     start=lambda w, leaf: {"plus": w, "all_plus": 0, "some_minus": 0 if leaf else None},
     table={
         False: {
@@ -311,34 +413,6 @@ _WEAK = _Kind(
 )
 
 
-def _join(vectors) -> np.ndarray:
-    return functools.reduce(np.maximum, vectors)
-
-
-def _split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
-    """(a, source, view): the smallest a with left[source][a] and
-    views[view][rem - a] both >= threshold, then the first pair and view
-    in table order."""
-    best = None
-    for src, names in pairs:
-        lvec = left[src]
-        for name in names:
-            rvec = views[name]
-            # The vectors of one node share a length, so lo is the same
-            # for every pair and view: a hit at lo cannot be beaten.
-            lo, hi = max(0, rem + 1 - rvec.size), min(rem, lvec.size - 1)
-            ok = (lvec[lo : hi + 1] >= threshold) & (
-                rvec[rem - hi : rem - lo + 1][::-1] >= threshold
-            )
-            i = int(ok.argmax())
-            if ok[i] and (best is None or lo + i < best[0]):
-                best = (lo + i, src, name)
-                if i == 0:
-                    return best
-    assert best is not None, "no witness split found (corrupt DP table)"
-    return best
-
-
 class _TreeDP:
     """Vectors of one ``_Kind`` over an oriented forest, built in post-order.
 
@@ -352,7 +426,6 @@ class _TreeDP:
 
     def __init__(self, g: Digraph, weights, cap: int, kind: _Kind, starts: Iterable[int]):
         self.kind = kind
-        self.cap = cap
         self.root = g.n
         self.weights = list(weights) + [0]
         self.arcs = set(g.arcs)
@@ -364,25 +437,24 @@ class _TreeDP:
                 self.kids[v] = sorted(children[v])
             order.extend(reversed(pre))
         order.append(self.root)
-        convolve = getattr(_kernels, kind.kernel)
-        self._blank = np.full(cap + 1, kind.zero)
-        self.size: dict[int, int] = {}
+        ops = kind.ops
+        size: dict[int, int] = {}
         # Per node: the accumulators before each child, for the traceback.
         self.steps: dict[int, list[dict]] = {}
         self.views: dict[int, dict] = {}
         for v in order:
-            sub = self.weights[v] + sum(self.size[u] - 1 for u in self.kids[v])
-            self.size[v] = min(cap, sub) + 1
-            acc = self._start(v)
+            sub = self.weights[v] + sum(size[u] - 1 for u in self.kids[v])
+            size[v] = length = min(cap, sub) + 1
+            acc = {state: ops.start(length, at) for state, at in self._spec(v).items()}
             steps = []
             for u in self.kids[v]:
                 table = kind.table[(v, u) in self.arcs]
                 child = self.views[u]
                 steps.append(acc)
                 acc = {
-                    dest: _join(
+                    dest: ops.join(
                         [
-                            convolve(acc[src], _join([child[n] for n in names]))
+                            ops.merge(acc[src], ops.join([child[x] for x in names]), length)
                             for src, names in table[dest]
                         ]
                     )
@@ -390,26 +462,13 @@ class _TreeDP:
                     if dest not in kind.shifted
                 }
                 for dest, parts in kind.shifted.items():
-                    acc[dest] = self._shift(_join([acc[p] for p in parts]), self.weights[v])
+                    acc[dest] = ops.shift(ops.join([acc[p] for p in parts]), self.weights[v], length)
             self.steps[v] = steps
             self.views[v] = kind.views(acc, self.weights[v])
         self.answer = acc["plus"]
 
     def _spec(self, v: int) -> dict[str, Optional[int]]:
         return self.kind.start(self.weights[v], not self.kids[v])
-
-    def _start(self, v: int) -> dict:
-        out = {}
-        for state, at in self._spec(v).items():
-            out[state] = vec = self._blank[: self.size[v]].copy()
-            if at is not None and at <= self.cap:
-                vec[at] = self.kind.one
-        return out
-
-    def _shift(self, vec: np.ndarray, w: int) -> np.ndarray:
-        out = self._blank[: vec.size].copy()
-        out[w:] = vec[: max(0, vec.size - w)]
-        return out
 
     def witness(self, b: int, threshold) -> set[int]:
         """A selection of weight b whose virtual-root entry reaches
@@ -422,7 +481,7 @@ class _TreeDP:
                 out.add(v)
             for u, left in zip(reversed(self.kids[v]), reversed(self.steps[v])):
                 pairs = self.kind.table[(v, u) in self.arcs][state]
-                a, state, view = _split(left, pairs, self.views[u], rem, threshold)
+                a, state, view = self.kind.ops.split(left, pairs, self.views[u], rem, threshold)
                 stack.append((u, self.kind.view_state[view], rem - a))
                 rem = a
             # A start vector holds ``one`` at its single weight only.
@@ -430,20 +489,26 @@ class _TreeDP:
         return out
 
 
+def _tree_solution(inst: WeightedInstance, kind: _Kind, starts: Iterable[int]) -> Solution:
+    dp = _TreeDP(inst.graph, inst.weights, inst.budget, kind, starts)
+    b, threshold = kind.ops.best(dp.answer, inst.budget)
+    return Solution(frozenset(dp.witness(b, threshold)), b)
+
+
+def _check_cap(inst: WeightedInstance, budget_cap: int) -> None:
+    if inst.budget > budget_cap:
+        raise CapExceeded(f"budget {inst.budget} exceeds DP table cap {budget_cap}")
+
+
 def solve_ssg_tree(
     inst: WeightedInstance, budget_cap: int = DEFAULT_BUDGET_CAP
 ) -> Solution:
     """Maximum-weight closed-and-budgeted set on an oriented forest."""
-    if inst.budget > budget_cap:
-        raise CapExceeded(
-            f"budget {inst.budget} exceeds DP table cap {budget_cap}"
-        )
     g = inst.graph
     if not is_underlying_forest(g):
         raise SolverError("forest DP requires an oriented forest")
-    dp = _TreeDP(g, inst.weights, inst.budget, _STRONG, g.nodes())
-    best = int(np.flatnonzero(dp.answer).max())
-    return Solution(frozenset(dp.witness(best, True)), best)
+    _check_cap(inst, budget_cap)
+    return _tree_solution(inst, _STRONG, g.nodes())
 
 
 def solve_maximal_ssg_tree(
@@ -458,17 +523,10 @@ def solve_maximal_ssg_tree(
     g = inst.graph
     if not is_underlying_tree(g):
         raise SolverError("maximal tree DP requires an oriented tree")
-    if inst.budget > budget_cap:
-        raise CapExceeded(
-            f"budget {inst.budget} exceeds DP table cap {budget_cap}"
-        )
+    _check_cap(inst, budget_cap)
     if inst.total_weight() <= inst.budget:
         return Solution(frozenset(g.nodes()), inst.total_weight())
-    dp = _TreeDP(g, inst.weights, inst.budget, _MAXIMAL, g.nodes())
-    for b in range(dp.answer.size):
-        if dp.answer[b] > inst.budget - b:
-            return Solution(frozenset(dp.witness(b, inst.budget - b + 1)), b)
-    raise AssertionError("no maximal solution found (should not happen)")
+    return _tree_solution(inst, _MAXIMAL, g.nodes())
 
 
 def solve_ssgw_rooted_tree(
@@ -481,20 +539,15 @@ def solve_ssgw_rooted_tree(
     directly.
     """
     g = inst.graph
-    if inst.budget > budget_cap:
-        raise CapExceeded(
-            f"budget {inst.budget} exceeds DP table cap {budget_cap}"
-        )
     if is_in_rooted_tree(g):
         return solve_ssg_tree(inst, budget_cap)
     if not is_out_rooted_tree(g):
         raise SolverError(
             "weak-closure tree DP requires an in-rooted or out-rooted tree"
         )
+    _check_cap(inst, budget_cap)
     sink = next(v for v in g.nodes() if not g.out_adj[v])
-    dp = _TreeDP(g, inst.weights, inst.budget, _WEAK, [sink])
-    best = int(np.flatnonzero(dp.answer).max())
-    return Solution(frozenset(dp.witness(best, True)), best)
+    return _tree_solution(inst, _WEAK, [sink])
 
 
 # ---------------------------------------------------------------------------

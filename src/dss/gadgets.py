@@ -15,6 +15,7 @@ given its seed.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -40,36 +41,42 @@ class UndirectedGraph:
             raise InstanceError(f"edge ({u},{v}) out of range")
         object.__setattr__(self, "edges", edges)
 
+    @functools.cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, its neighbours in increasing order: the edges are
+        sorted pairs (u, v) with u < v, so node v meets its smaller
+        neighbours (as the second end) before its larger ones."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
+
     def neighbours(self, v: int) -> list[int]:
-        out = [b for a, b in self.edges if a == v]
-        out += [a for a, b in self.edges if b == v]
-        return sorted(out)
+        return list(self._adjacency[v])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbours(v))
+        return len(self._adjacency[v])
 
     def is_regular(self) -> Optional[int]:
         if self.n == 0:
             return None
-        degs = {self.degree(v) for v in range(self.n)}
+        degs = set(map(len, self._adjacency))
         return degs.pop() if len(degs) == 1 else None
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        adj = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
+        adj = self._adjacency
+        seen = [False] * self.n
+        seen[0] = True
         stack = [0]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-        return len(seen) == self.n
+        return all(seen)
 
 
 # ---------------------------------------------------------------------------

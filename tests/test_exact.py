@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import deep_path_instance, make_instance
@@ -25,6 +27,7 @@ from dss import (
     subset_sum_to_tree,
     verify_solution,
 )
+from dss.exact import _STRONG, _WEAK, _Bits
 from test_graph import digraphs
 
 
@@ -155,6 +158,34 @@ class TestForestDP:
         with pytest.raises(CapExceeded):
             solve_ssg_tree(inst)
 
+    def test_structure_checked_before_cap(self):
+        g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        for kind, solve in (
+            (ProblemKind.SSG, solve_ssg_tree),
+            (ProblemKind.SSGW, solve_ssgw_rooted_tree),
+            (ProblemKind.MAXIMAL_SSG, solve_maximal_ssg_tree),
+        ):
+            inst = make_instance(g, [5, 7, 9], 10**7, kind)
+            with pytest.raises(SolverError) as exc:
+                solve(inst)
+            assert not isinstance(exc.value, CapExceeded)
+
+    def test_peak_memory_on_long_weighted_path(self):
+        """One bit per DP entry: a 400-node directed path with weights
+        1000 and B = 10^6 - 1 keeps every node's vectors for the
+        traceback, about 8 * 10^7 bits (10 MB) per state."""
+        n = 400
+        g = Digraph(n, [(i, i + 1) for i in range(n - 1)])
+        inst = make_instance(g, [1000] * n, 10**6 - 1)
+        tracemalloc.start()
+        try:
+            sol = solve_ssg_tree(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.weight == 1000 * n and sol.selected == frozenset(range(n))
+        assert peak < 40e6
+
     def test_random_agreement_with_brute(self):
         for seed in range(60):
             inst = _random_tree_instance(seed, cls=GraphClass.FOREST)
@@ -222,6 +253,55 @@ class TestWeakTreeDP:
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
             assert is_feasible(inst, sol.selected)
+
+
+def _split_by_candidate(left, pairs, views, rem):
+    """The first (a, source, view) in order of a, then table order."""
+    for a in range(rem + 1):
+        for src, names in pairs:
+            for name in names:
+                if (left[src] >> a) & 1 and (views[name] >> (rem - a)) & 1:
+                    return a, src, name
+    return None
+
+
+_SPLIT_PAIRS = [
+    pairs
+    for kind in (_STRONG, _WEAK)
+    for table in kind.table.values()
+    for pairs in table.values()
+]
+
+
+# Dense bitsets, and sparse ones whose few hits make the pair and view
+# order decide.
+_BITSETS = st.one_of(
+    st.integers(0, 2**40 - 1),
+    st.sets(st.integers(0, 39), max_size=4).map(lambda bits: sum(1 << b for b in bits)),
+)
+
+
+class TestBitSplit:
+    @given(
+        st.sampled_from(_SPLIT_PAIRS),
+        st.lists(_BITSETS, min_size=5, max_size=5),
+        st.integers(1, 40),
+        st.integers(0, 45),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_candidate_loop(self, pairs, raw, size, rem):
+        """Views are never longer than the accumulators (``size`` bits
+        against 40), and rem may exceed both."""
+        sources = sorted({src for src, _ in pairs})
+        names = sorted({name for _, group in pairs for name in group})
+        left = {src: raw[i] for i, src in enumerate(sources)}
+        views = {name: raw[-1 - i] & ((1 << size) - 1) for i, name in enumerate(names)}
+        expect = _split_by_candidate(left, pairs, views, rem)
+        if expect is None:
+            with pytest.raises(AssertionError):
+                _Bits.split(left, pairs, views, rem, None)
+        else:
+            assert _Bits.split(left, pairs, views, rem, None) == expect
 
 
 class TestDeepTrees:

@@ -253,6 +253,42 @@ class TestCliSolve:
         assert "weight 2" in capsys.readouterr().out
 
 
+    # Past the tree DPs' budget cap of 10^6: a non-forest must still reach
+    # the other solvers; a forest is refused with exit 2.
+    TRIANGLE_ARCS = "arc a b\narc b c\narc a c\n"
+
+    def test_auto_past_cap_tournament(self, tmp_path, capsys):
+        path = tmp_path / "tourn.txt"
+        path.write_text(
+            "problem ssg\nbudget 2000000\nnode a 5\nnode b 7\nnode c 9\n" + self.TRIANGLE_ARCS
+        )
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert main(["solve", str(path), "--algorithm", "tournament"]) == 0
+        assert capsys.readouterr().out == out
+        assert "weight 21" in out and "feasible true" in out
+
+    def test_auto_past_cap_brute_force(self, tmp_path, capsys):
+        # Weak closure: a alone forces b, then c; {b, c} is the best fit.
+        path = tmp_path / "weak.txt"
+        path.write_text(
+            "problem ssgw\nbudget 2000000\nnode a 600000\nnode b 700000\nnode c 900000\n"
+            + self.TRIANGLE_ARCS
+        )
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert main(["solve", str(path), "--algorithm", "brute"]) == 0
+        assert capsys.readouterr().out == out
+        assert "weight 1600000" in out and "feasible true" in out
+
+    @pytest.mark.parametrize("kind", ["ssg", "ssgw", "maximal-ssg"])
+    def test_auto_past_cap_on_tree_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text(f"problem {kind}\nbudget 2000000\nnode a 1\nnode b 2\narc a b\n")
+        assert main(["solve", str(path)]) == 2
+        assert "exceeds DP table cap 1000000" in capsys.readouterr().err
+
+
 class TestCliCheck:
     def test_empty_solution_feasible_for_ssg(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"

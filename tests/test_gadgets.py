@@ -93,6 +93,32 @@ class TestUndirectedGraph:
             UndirectedGraph(4, edges)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_adjacency_matches_edge_scan(self, seed):
+        """Neighbours, degrees, regularity and connectivity equal a scan
+        of every edge per node."""
+        rng = random.Random(f"adjacency/{seed}")
+        n = rng.randint(0, 12)
+        p = rng.choice([0.1, 0.3, 0.7])
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        rng.shuffle(pairs)
+        g = UndirectedGraph(n, tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs))
+        scan = [
+            sorted([b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v])
+            for v in range(n)
+        ]
+        assert [g.neighbours(v) for v in range(n)] == scan
+        assert [g.degree(v) for v in range(n)] == [len(nb) for nb in scan]
+        degs = {len(nb) for nb in scan}
+        assert g.is_regular() == (degs.pop() if n and len(degs) == 1 else None)
+        seen, stack = {0}, [0]
+        while stack and n:
+            for w in scan[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        assert g.is_connected() == (n == 0 or len(seen) == n)
+
 
 class TestCliqueReduction:
     def test_rejects_irregular(self):

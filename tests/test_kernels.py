@@ -6,27 +6,27 @@ from hypothesis import strategies as st
 from dss import _kernels
 
 
-class TestOrConvolve:
+def _bits(flags) -> int:
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+class TestShiftOr:
     def test_delta_identity(self):
-        a = np.zeros(6, dtype=np.bool_)
-        a[0] = True
-        b = np.zeros(6, dtype=np.bool_)
-        b[2] = b[4] = True
-        assert np.array_equal(_kernels.or_convolve(a, b), b)
+        assert _kernels.shift_or(0b1, 0b10100, 6) == 0b10100
 
     def test_cap(self):
-        a = np.zeros(4, dtype=np.bool_)
-        b = np.zeros(4, dtype=np.bool_)
-        a[3] = b[3] = True
-        out = _kernels.or_convolve(a, b)
-        assert not out.any()  # 3 + 3 overflows the cap
+        assert _kernels.shift_or(0b1000, 0b1000, 4) == 0  # 3 + 3 overflows the cap
+
+    def test_empty_operand(self):
+        assert _kernels.shift_or(0, 0b111, 4) == 0
+        assert _kernels.shift_or(0b111, 0, 4) == 0
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=12),
         st.lists(st.booleans(), min_size=1, max_size=12),
     )
     @settings(max_examples=80, deadline=None)
-    def test_backends_agree_and_match_reference(self, xs, ys):
+    def test_matches_reference(self, xs, ys):
         n = max(len(xs), len(ys))
         a = np.zeros(n, dtype=np.bool_)
         a[: len(xs)] = xs
@@ -37,7 +37,7 @@ class TestOrConvolve:
             for j in range(n - i):
                 if a[i] and b[j]:
                     ref[i + j] = True
-        assert np.array_equal(_kernels.or_convolve(a, b), ref)
+        assert _kernels.shift_or(_bits(a), _bits(b), n) == _bits(ref)
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=12),
@@ -52,7 +52,35 @@ class TestOrConvolve:
             for j in range(min(b.shape[0], n - i)):
                 if a[i] and b[j]:
                     ref[i + j] = True
-        assert np.array_equal(_kernels.or_convolve(a, b), ref)
+        assert _kernels.shift_or(_bits(a), _bits(b), n) == _bits(ref)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 300)), max_size=4),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 300)), max_size=4),
+        st.integers(1, 1200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_runs_match_reference(self, runs_a, runs_b, n):
+        """Runs of set bits longer than a doubling step, in either operand."""
+        a = b = 0
+        for s, r in runs_a:
+            a |= ((1 << r) - 1) << s
+        for s, r in runs_b:
+            b |= ((1 << r) - 1) << s
+        ref = 0
+        for i in range(a.bit_length()):
+            if (a >> i) & 1:
+                ref |= b << i
+        assert _kernels.shift_or(a, b, n) == ref & ((1 << n) - 1)
+
+
+class TestReverseBits:
+    @given(st.integers(0, 2**70), st.integers(0, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_string_reversal(self, x, nbits):
+        x &= (1 << nbits) - 1
+        expect = int(format(x, f"0{nbits}b")[::-1], 2) if nbits else 0
+        assert _kernels.reverse_bits(x, nbits) == expect
 
 
 class TestMaxminConvolve:
