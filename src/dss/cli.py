@@ -18,7 +18,7 @@ import csv
 import io
 import sys
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import approx, exact, formats, gadgets
 from .constraints import evaluate
@@ -34,8 +34,9 @@ ALGORITHMS = ("auto", "brute", "tree-dp", "tournament", "eulerian", "ptas")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except formats.ParseError as exc:
@@ -49,49 +50,45 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dss",
-        description="Subset-sum solvers under digraph closure constraints.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each adder names its handler (``set_defaults(func=cmd_x)``) in its body,
+# so the module binding is read at parse time: a wrapper installed on
+# ``cli.cmd_x`` after import is the one that runs.
 
-    p = sub.add_parser("solve", help="solve an instance file")
+
+def _add_solve(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", help="instance file path")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--k", type=int, default=2, help="PTAS seed size")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check", help="verify a solution file")
+
+def _add_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("solution")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("classify", help="report the structural graph class")
+
+def _add_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.set_defaults(func=cmd_classify)
 
-    gen = sub.add_parser("generate", help="emit instance files")
-    gsub = gen.add_subparsers(dest="generator", required=True)
 
-    p = gsub.add_parser("clique", help="clique reduction from an edge list")
+def _add_clique(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True, help="edge-list file")
     p.add_argument("--clique-size", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate_clique)
 
-    p = gsub.add_parser(
-        "hard-maximal", help="cardinality reduction to the maximal problem"
-    )
+
+def _add_hard_maximal(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="source instance file")
     p.add_argument("--p", type=int, required=True, help="target cardinality")
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate_hard_maximal)
 
-    p = gsub.add_parser(
-        "independent-set", help="independence reduction from an edge list"
-    )
+
+def _add_independent_set(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", required=True)
     p.add_argument(
         "--kind",
@@ -101,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate_independent_set)
 
-    p = gsub.add_parser("subset-sum", help="plain subset sum as a star")
+
+def _add_subset_sum(p: argparse.ArgumentParser) -> None:
     p.add_argument("--values", required=True, help="comma-separated integers")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument(
@@ -110,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate_subset_sum)
 
-    p = gsub.add_parser("random", help="seeded random instance")
+
+def _add_random(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--graph-class",
         choices=[c.value for c in GraphClass],
@@ -130,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate_random)
 
-    p = sub.add_parser("bench", help="approximation-quality benchmark (CSV)")
+
+def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--classes",
         default="dag",
@@ -147,7 +147,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
+
+# name -> (help, adder); a nested table is a level of subcommands.
+_GENERATORS = {
+    "clique": ("clique reduction from an edge list", _add_clique),
+    "hard-maximal": ("cardinality reduction to the maximal problem", _add_hard_maximal),
+    "independent-set": ("independence reduction from an edge list", _add_independent_set),
+    "subset-sum": ("plain subset sum as a star", _add_subset_sum),
+    "random": ("seeded random instance", _add_random),
+}
+
+_COMMANDS = {
+    "solve": ("solve an instance file", _add_solve),
+    "check": ("verify a solution file", _add_check),
+    "classify": ("report the structural graph class", _add_classify),
+    "generate": ("emit instance files", _GENERATORS),
+    "bench": ("approximation-quality benchmark (CSV)", _add_bench),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: when its leading words name a command (and,
+    under ``generate``, a generator), only that branch is registered."""
+    parser = argparse.ArgumentParser(
+        prog="dss",
+        description="Subset-sum solvers under digraph closure constraints.",
+    )
+    _add_children(parser, "command", _COMMANDS, argv)
     return parser
+
+
+def _add_children(parser, dest: str, table: dict, words: Sequence[str]) -> None:
+    """Register ``table`` as the subcommands of ``parser``: only the one
+    that ``words[0]`` names, or all of them when it names none (help and
+    missing or unknown names)."""
+    name = words[0] if words else None
+    if name in table:
+        # The usage line of a later "unrecognized arguments" error lists
+        # the registered names, so give it the full list.  Only here: as
+        # metavar it would also rename the action in the required and
+        # invalid-choice errors, which cannot occur once a name matched.
+        sub = parser.add_subparsers(
+            dest=dest, required=True, metavar="{" + ",".join(table) + "}"
+        )
+        names = [name]
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        names = list(table)
+    for name in names:
+        help_text, add = table[name]
+        child = sub.add_parser(name, help=help_text)
+        if isinstance(add, dict):
+            _add_children(child, "generator", add, words[1:])
+        else:
+            add(child)
 
 
 def _read(path: str) -> str:
@@ -333,10 +386,7 @@ def cmd_generate_independent_set(args) -> int:
 
 
 def cmd_generate_subset_sum(args) -> int:
-    try:
-        values = [int(tok) for tok in args.values.split(",") if tok.strip()]
-    except ValueError:
-        raise formats.ParseError(f"bad values list {args.values!r}")
+    values = _csv_list(args.values, int, "values")
     inst, labels = gadgets.subset_sum_to_tree(
         values, args.budget, ProblemKind(args.kind)
     )
@@ -382,19 +432,26 @@ _CSV_COLUMNS = [
 ]
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _csv_list(text: str, parse, what: str) -> list:
+    """The comma-separated items of ``text``, each read by ``parse``;
+    a malformed or unknown item is a parse error."""
+    try:
+        return [parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise formats.ParseError(f"bad {what} list {text!r}") from None
 
 
 def cmd_bench(args) -> int:
-    classes = [GraphClass(tok) for tok in args.classes.split(",") if tok.strip()]
-    sizes = _csv_ints(args.sizes)
-    seeds = _csv_ints(args.seeds)
-    kinds = [ProblemKind(tok) for tok in args.kinds.split(",") if tok.strip()]
-    k_list = _csv_ints(args.k_list)
+    classes = _csv_list(args.classes, GraphClass, "classes")
+    sizes = _csv_list(args.sizes, int, "sizes")
+    seeds = _csv_list(args.seeds, int, "seeds")
+    kinds = _csv_list(args.kinds, ProblemKind, "kinds")
+    k_list = _csv_list(args.k_list, int, "k")
     for kind in kinds:
         if kind.is_weak:
             raise InstanceError("bench covers the strong-closure kinds only")
+    if any(k < 0 for k in k_list):
+        raise exact.SolverError("k must be nonnegative")
     rows = []
     worst: dict[tuple[str, int], float] = {}
     for cls in classes:

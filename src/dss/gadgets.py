@@ -16,6 +16,7 @@ given its seed.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -300,6 +301,8 @@ def random_instance(
     """Reproducible random instance of the requested structural class."""
     if n < 1:
         raise InstanceError("n must be at least 1")
+    if weight_max < 0:
+        raise InstanceError("weight_max must be nonnegative")
     rng = random.Random(seed)
     arcs: list[tuple[int, int]] = []
     if graph_class is GraphClass.GENERAL:
@@ -352,6 +355,8 @@ def random_instance(
     total = sum(weights)
     rule, value = budget_rule
     if rule == "fraction":
+        if not math.isfinite(value):
+            raise InstanceError("budget fraction must be finite")
         budget = int(total * value)
     elif rule == "fixed":
         budget = int(value)

@@ -293,16 +293,12 @@ def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
     return _condense_cached(g, w)
 
 
-def _underlying_edges(g: Digraph) -> set[tuple[int, int]]:
-    return {(min(u, v), max(u, v)) for u, v in g.arcs}
-
-
 def is_underlying_forest(g: Digraph) -> bool:
     """True when the underlying undirected graph is acyclic and simple
     (no opposite arc pair)."""
     if g.n and len(g.arcs) >= g.n:
         return False  # a forest has at most n - 1 edges
-    edges = _underlying_edges(g)
+    edges = {(min(u, v), max(u, v)) for u, v in g.arcs}
     if len(edges) != len(g.arcs):
         return False  # opposite arcs collapse to one edge
     parent = list(range(g.n))
@@ -343,7 +339,9 @@ def is_tournament(g: Digraph) -> bool:
     """Exactly one arc between every pair of distinct nodes."""
     if len(g.arcs) != g.n * (g.n - 1) // 2:
         return False
-    return len(_underlying_edges(g)) == len(g.arcs)
+    # With n(n-1)/2 distinct arcs and no loops, every pair holds exactly
+    # one arc iff no pair holds two.
+    return all(set(g.out_adj[v]).isdisjoint(g.in_adj[v]) for v in range(g.n))
 
 
 def is_balanced_degree_two(g: Digraph) -> bool:

@@ -90,6 +90,15 @@ def scc_oracle(n: int, arcs) -> list[frozenset[int]]:
     return comps
 
 
+def is_tournament_oracle(n: int, arcs) -> bool:
+    """Every pair of distinct nodes holds exactly one of its two arcs."""
+    arc_set = set(arcs)
+    return all(
+        ((u, v) in arc_set) != ((v, u) in arc_set)
+        for u, v in itertools.combinations(range(n), 2)
+    )
+
+
 def strong_closed(arcs, s: set[int]) -> bool:
     return all(v in s for u, v in arcs if u in s)
 

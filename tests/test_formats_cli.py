@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG_B_ARCS, FIG_B_WEIGHTS, deep_path_instance
 
@@ -367,6 +369,19 @@ class TestCliGenerate:
         inst, _ = parse_instance(capsys.readouterr().out)
         assert inst.kind is ProblemKind.MAXIMAL_SSGW
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--weight-max", "-1"], "error: weight_max must be nonnegative\n"),
+            (["--budget-fraction", "nan"], "error: budget fraction must be finite\n"),
+            (["--budget-fraction", "inf"], "error: budget fraction must be finite\n"),
+        ],
+    )
+    def test_random_bad_numbers_exit_2(self, option, message, capsys):
+        assert main(["generate", "random", "--n", "4", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
     def test_hard_maximal(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text(
@@ -396,6 +411,77 @@ class TestCliBench:
 
     def test_rejects_weak_kind(self):
         assert main(["bench", "--kinds", "ssgw"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--k-list=-1"], 2, "error: k must be nonnegative\n"),
+            (["--classes", "foo"], 3, "error: bad classes list 'foo'\n"),
+            (["--kinds", "foo"], 3, "error: bad kinds list 'foo'\n"),
+            (["--sizes", "x"], 3, "error: bad sizes list 'x'\n"),
+            (["--seeds", "0,y"], 3, "error: bad seeds list '0,y'\n"),
+            (["--k-list", "1,z"], 3, "error: bad k list '1,z'\n"),
+        ],
+    )
+    def test_bad_lists_are_one_line_errors(self, argv, code, message, capsys):
+        assert main(["bench", "--sizes", "3", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
+
+# argv tokens for ``bench`` and ``generate random``, valid and not, at tiny sizes
+_CLASSES = [c.value for c in GraphClass] + ["foo", ""]
+_KINDS = [k.value for k in ProblemKind] + ["foo"]
+_BENCH_VALUES = {
+    "--classes": st.lists(st.sampled_from(_CLASSES), max_size=2).map(",".join),
+    "--sizes": st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"]), max_size=2).map(",".join),
+    "--seeds": st.lists(st.sampled_from(["-1", "0", "5", "y"]), max_size=2).map(",".join),
+    "--kinds": st.lists(st.sampled_from(_KINDS), max_size=2).map(",".join),
+    "--k-list": st.lists(st.sampled_from(["-1", "0", "1", "3", "z"]), max_size=2).map(",".join),
+}
+_NUMBERS = ["-1", "0", "0.5", "2", "nan", "inf", "x", str(2**70)]
+_RANDOM_VALUES = {
+    "--graph-class": st.sampled_from(_CLASSES),
+    "--n": st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"]),
+    "--seed": st.sampled_from(["-3", "0", "7", str(2**70), "x"]),
+    "--weight-max": st.sampled_from(["-5", "-1", "0", "1", "10", str(2**70), "x"]),
+    "--kind": st.sampled_from(_KINDS),
+    "--arc-prob": st.sampled_from(_NUMBERS),
+    "--budget": st.sampled_from(["-1", "0", "5", str(2**70), "x"]),
+    "--budget-fraction": st.sampled_from(_NUMBERS),
+}
+
+
+@st.composite
+def _options(draw, values):
+    argv = []
+    for name in draw(st.lists(st.sampled_from(sorted(values)), unique=True)):
+        argv.append(f"{name}={draw(values[name])}")
+    return argv
+
+
+class TestCliArgumentFuzz:
+    """Whatever the tokens, ``bench`` and ``generate random`` end in exit
+    0-3 (argparse's own exits included), never in another exception."""
+
+    @staticmethod
+    def _exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @settings(max_examples=150, deadline=None)
+    @given(_options(_BENCH_VALUES))
+    def test_bench(self, options):
+        # Small defaults, so that an option left out keeps the run tiny.
+        argv = ["bench", "--sizes=3", "--seeds=0", "--k-list=1", *options]
+        assert self._exit_code(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_options(_RANDOM_VALUES))
+    def test_generate_random(self, options):
+        assert self._exit_code(["generate", "random", "--n=3", *options]) in (0, 1, 2, 3)
 
 
 class TestConsoleScript:

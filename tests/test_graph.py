@@ -255,6 +255,29 @@ class TestClassify:
         assert classify(g) == GraphClass.TOURNAMENT
         assert is_tournament(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_is_tournament_matches_oracle(self, g):
+        assert is_tournament(g) == oracles.is_tournament_oracle(g.n, g.arcs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_is_tournament_on_tournament_arc_counts(self, seed):
+        # Tournaments, and graphs with n(n-1)/2 arcs where one pair holds
+        # both arcs and another holds none.
+        rng = random.Random(seed)
+        n = rng.randint(2, 25)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u in range(n) for v in range(u + 1, n)]
+        cases = [arcs]
+        if n >= 3:
+            i, j = rng.sample(range(len(arcs)), 2)
+            u, v = arcs[j]
+            cases.append(arcs[:i] + arcs[i + 1:] + [(v, u)])
+        for case in cases:
+            g = Digraph(n, case)
+            assert len(g.arcs) == n * (n - 1) // 2
+            assert is_tournament(g) == oracles.is_tournament_oracle(n, case)
+            assert is_tournament(g) == (case is arcs)
+
     def test_balanced_degree_two(self):
         arcs = [(i, (i + 1) % 6) for i in range(6)] + [
             (i, (i + 2) % 6) for i in range(6)
