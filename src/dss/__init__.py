@@ -12,12 +12,9 @@ from .graph import (
     Digraph,
     GraphClass,
     GraphError,
-    ascendants,
     classify,
     condense,
-    descendants,
     is_dag,
-    kernel,
 )
 from .instance import (
     InstanceError,
@@ -76,12 +73,9 @@ __all__ = [
     "Digraph",
     "GraphClass",
     "GraphError",
-    "ascendants",
     "classify",
     "condense",
-    "descendants",
     "is_dag",
-    "kernel",
     "InstanceError",
     "ProblemKind",
     "Solution",

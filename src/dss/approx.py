@@ -17,10 +17,11 @@ Determinism: seed subsets are enumerated in lexicographic order over
 sorted node ids by increasing size; greedy tie-breaks take the smallest
 node id; equal-objective candidates keep the first one found.
 
-Representation: a node set is a Python int with bit v set for node v.
-Once per call, ``_Reach`` derives from one topological order the
-descendant mask ``desc[v]`` (v included), the strict ancestor mask
-``anc[v]`` and the out- and in-neighbour masks.  The weight of a mask is
+Representation: a node set is a Python int with bit v set for node v
+(``graph``'s mask representation).  Once per call, ``_Reach`` takes the
+out- and in-neighbour masks from ``graph.neighbour_masks`` and derives
+from one topological order the descendant mask ``desc[v]`` (v included)
+and the strict ancestor mask ``anc[v]``.  The weight of a mask is
 a weighted popcount over one bit plane per bit of the weights, and the
 sources (sinks) of a mask are found by OR-ing the in- (out-) neighbour
 relation over the mask's bytes through per-byte lookup tables.
@@ -57,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .graph import Digraph, _topological_order, condense
+from .graph import Digraph, _topological_order, condense, mask_nodes, neighbour_masks
 from .instance import ProblemKind, Solution, WeightedInstance
 
 
@@ -66,14 +67,6 @@ class ApproxResult:
     solution: Solution
     k: int
     guarantee: Fraction
-
-
-def _bits(m: int) -> Iterator[int]:
-    """Set bit positions of ``m``, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _byte_tables(masks: list[int]) -> list[list[int]]:
@@ -96,11 +89,7 @@ class _Reach:
     def __init__(self, g: Digraph, order: list[int], weights: list[int]):
         n = g.n
         self.full = (1 << n) - 1
-        self.succ = [0] * n
-        self.pred = [0] * n
-        for u, v in g.arcs:
-            self.succ[u] |= 1 << v
-            self.pred[v] |= 1 << u
+        self.succ, self.pred = neighbour_masks(g)
         self.desc = [0] * n
         for v in reversed(order):
             m = 1 << v
@@ -172,11 +161,11 @@ def _condensed_view(inst: WeightedInstance):
     g = inst.graph
     order = _topological_order(g)
     if len(order) == g.n:
-        return _Reach(g, order, list(inst.weights)), lambda comps: set(_bits(comps))
+        return _Reach(g, order, list(inst.weights)), lambda comps: set(mask_nodes(comps))
     cond = condense(g, inst.weights)
 
     def expand(comps):
-        return {v for c in _bits(comps) for v in cond.members[c]}
+        return {v for c in mask_nodes(comps) for v in cond.members[c]}
 
     dag = cond.dag
     return _Reach(dag, _topological_order(dag), list(cond.component_weight)), expand
@@ -186,7 +175,7 @@ def _fill_max(r: _Reach, budget: int, sol: int, sol_w: int, avail: int) -> tuple
     """Add whole cones of sources of ``avail`` by largest weight, discarding
     a source whose cone overshoots; returns the final (sol, weight)."""
     while avail:
-        heap = [(-r.weigh(r.desc[s] & avail), s) for s in _bits(r.sources(avail))]
+        heap = [(-r.weigh(r.desc[s] & avail), s) for s in mask_nodes(r.sources(avail))]
         heapq.heapify(heap)
         while heap:
             neg_w, z = heapq.heappop(heap)
@@ -197,7 +186,7 @@ def _fill_max(r: _Reach, budget: int, sol: int, sol_w: int, avail: int) -> tuple
                 avail &= ~cone
                 break
             avail &= ~(1 << z)
-            for v in _bits(r.succ[z] & avail):
+            for v in mask_nodes(r.succ[z] & avail):
                 if not r.pred[v] & avail:
                     heapq.heappush(heap, (-r.weigh(r.desc[v] & avail), v))
     return sol, sol_w
@@ -213,7 +202,7 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
     best, best_w = 0, -1
     for seed, base, base_w in r.seeds(k, inst.budget):
         up = 0
-        for v in _bits(seed):
+        for v in mask_nodes(seed):
             up |= r.anc[v]
         sol, w = _fill_max(r, inst.budget, base, base_w, r.full & ~up & ~base)
         if w > best_w:
@@ -242,13 +231,13 @@ def ptas_maximal_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
         if avail in seen:
             continue
         seen.add(avail)
-        heap = [(weights[v], v) for v in _bits(r.sinks(avail))]
+        heap = [(weights[v], v) for v in mask_nodes(r.sinks(avail))]
         heapq.heapify(heap)
         while heap and w + heap[0][0] <= inst.budget:
             wz, z = heapq.heappop(heap)
             avail &= ~(1 << z)
             w += wz
-            for p in _bits(r.pred[z] & avail):
+            for p in mask_nodes(r.pred[z] & avail):
                 if not r.succ[p] & avail:
                     heapq.heappush(heap, (weights[p], p))
         if best_w is None or w < best_w:

@@ -242,21 +242,21 @@ def _solve_ptas(inst: WeightedInstance, k: int) -> Solution:
 
 
 def _solve_auto(inst: WeightedInstance, k: int) -> Solution:
+    """The first solver that applies; brute force covers every kind and
+    either answers or raises ``CapExceeded``."""
     for attempt in (
         _solve_tree_dp,
         lambda i: exact.solve_tournament(i),
         lambda i: exact.solve_balanced_degree_two(i),
         lambda i: _solve_ptas(i, k),
-        lambda i: exact.brute_force(i),
     ):
         try:
-            sol = attempt(inst)
+            return attempt(inst)
         except exact.CapExceeded:
             raise
         except exact.SolverError:
             continue
-        return sol
-    raise exact.SolverError("no applicable solver for this instance")
+    return exact.brute_force(inst)
 
 
 def cmd_solve(args) -> int:

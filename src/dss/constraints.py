@@ -116,45 +116,10 @@ def _maximality_weak(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
     return None
 
 
-def check_maximal(inst: WeightedInstance, s) -> FeasibilityReport:
-    """Full report for a maximal-kind solution candidate.
-
-    Closure and budget are checked first; maximality is only evaluated
-    once both hold (the maximality definition quantifies over feasible
-    supersets of a feasible set).
-    """
-    g = inst.graph
-    sel = g._check_nodes(s)
-    if inst.kind.is_weak:
-        closure_witness: Union[tuple[int, int], int, None] = check_weak_closure(g, sel)
-    else:
-        closure_witness = check_digraph_closure(g, sel)
-    budget_ok, total = check_budget(inst, sel)
-    if closure_witness is not None or not budget_ok:
-        return FeasibilityReport(
-            satisfies_closure=closure_witness is None,
-            satisfies_budget=budget_ok,
-            satisfies_maximality=None,
-            witness=closure_witness,
-            total_weight=total,
-        )
-    if inst.kind.is_weak:
-        add_witness = _maximality_weak(inst, sel)
-    else:
-        add_witness = _maximality_strong(inst, sel)
-    return FeasibilityReport(
-        satisfies_closure=True,
-        satisfies_budget=True,
-        satisfies_maximality=add_witness is None,
-        witness=add_witness,
-        total_weight=total,
-    )
-
-
-def evaluate(inst: WeightedInstance, s) -> FeasibilityReport:
-    """Report for any kind; maximality is None for the non-maximal kinds."""
-    if inst.kind.is_maximal:
-        return check_maximal(inst, s)
+def _report(inst: WeightedInstance, s, maximal: bool) -> FeasibilityReport:
+    """Closure and budget verdicts, then maximality when ``maximal`` is
+    set and both hold (the maximality definition quantifies over feasible
+    supersets of a feasible set)."""
     g = inst.graph
     sel = g._check_nodes(s)
     if inst.kind.is_weak:
@@ -162,13 +127,24 @@ def evaluate(inst: WeightedInstance, s) -> FeasibilityReport:
     else:
         witness = check_digraph_closure(g, sel)
     budget_ok, total = check_budget(inst, sel)
-    return FeasibilityReport(
-        satisfies_closure=witness is None,
-        satisfies_budget=budget_ok,
-        satisfies_maximality=None,
-        witness=witness,
-        total_weight=total,
-    )
+    if not maximal or witness is not None or not budget_ok:
+        return FeasibilityReport(witness is None, budget_ok, None, witness, total)
+    if inst.kind.is_weak:
+        add_witness = _maximality_weak(inst, sel)
+    else:
+        add_witness = _maximality_strong(inst, sel)
+    return FeasibilityReport(True, True, add_witness is None, add_witness, total)
+
+
+def check_maximal(inst: WeightedInstance, s) -> FeasibilityReport:
+    """Full report for a maximal-kind solution candidate; maximality is
+    None unless closure and budget both hold."""
+    return _report(inst, s, True)
+
+
+def evaluate(inst: WeightedInstance, s) -> FeasibilityReport:
+    """Report for any kind; maximality is None for the non-maximal kinds."""
+    return _report(inst, s, inst.kind.is_maximal)
 
 
 def is_feasible(inst: WeightedInstance, s) -> bool:

@@ -2,7 +2,8 @@
 
 - ``brute_force``: subset enumeration over bitmasks, the ground-truth
   oracle for every other solver.  The closure and weight tables of all
-  2^n masks come from ``_kernels`` (O(2^n) memory; see there for time).
+  2^n masks come from ``_kernels`` (O(2^n) memory; see there for time),
+  fed the neighbour masks of ``graph.neighbour_masks`` as int64 arrays.
   For the maximal kinds only the feasible masks are then tested, once per
   component or node: the strong kinds look for a sink component of the
   unselected part that fits, the weak kinds read the weight of the
@@ -51,6 +52,8 @@ from .graph import (
     is_underlying_connected,
     is_underlying_forest,
     is_underlying_tree,
+    mask_nodes,
+    neighbour_masks,
 )
 from .instance import ProblemKind, Solution, WeightedInstance
 
@@ -69,21 +72,6 @@ class CapExceeded(SolverError):
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
-
-
-def _mask_nodes(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
-def _neighbour_masks(g: Digraph, incoming: bool) -> np.ndarray:
-    out = np.zeros(g.n, dtype=np.int64)
-    adj = g.in_adj if incoming else g.out_adj
-    for v in range(g.n):
-        m = 0
-        for u in adj[v]:
-            m |= 1 << u
-        out[v] = m
-    return out
 
 
 def _extendable_strong(
@@ -141,17 +129,15 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
     Ties are broken toward the lexicographically smallest selected set.
     """
     g = inst.graph
-    n = g.n
-    if n > cap:
-        raise CapExceeded(f"brute force refused: n={n} exceeds cap {cap}")
+    if g.n > cap:
+        raise CapExceeded(f"brute force refused: n={g.n} exceeds cap {cap}")
     weights = np.asarray(inst.weights, dtype=np.int64)
+    succ, pred = neighbour_masks(g)
     if inst.kind.is_weak:
-        in_masks = _neighbour_masks(g, incoming=True)
+        in_masks = np.array(pred, dtype=np.int64)
         closed, weight = _kernels.weak_closed_subsets(in_masks, weights)
     else:
-        closed, weight = _kernels.closed_subsets(
-            _neighbour_masks(g, incoming=False), weights
-        )
+        closed, weight = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
     cand = np.flatnonzero(closed & (weight <= inst.budget))
     del closed
     if inst.kind.is_maximal:
@@ -167,7 +153,7 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
     else:
         best = int(weight[cand].max())
     chosen = _lexicographic_first(cand[weight[cand] == best])
-    return Solution(frozenset(_mask_nodes(chosen, n)), best)
+    return Solution(frozenset(mask_nodes(chosen)), best)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,8 @@ def random_instance(
         raise InstanceError("n must be at least 1")
     if weight_max < 0:
         raise InstanceError("weight_max must be nonnegative")
+    if not 0 <= arc_prob <= 1:
+        raise InstanceError("arc_prob must lie in [0, 1]")
     rng = random.Random(seed)
     arcs: list[tuple[int, int]] = []
     if graph_class is GraphClass.GENERAL:

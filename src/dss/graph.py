@@ -2,6 +2,13 @@
 
 Nodes are dense integers 0..n-1.  Graphs are immutable and hashable so
 derived structures (e.g. the condensation) can be cached per graph.
+
+This module owns the mask representation of node sets that the solvers
+share: a set is a Python int with bit v set for node v.
+``neighbour_masks`` gives every node's out- and in-neighbour masks and
+``mask_nodes`` lists the nodes of a mask.  The PTAS and the brute-force
+oracle both build their masks here, once per call; ``Digraph`` keeps
+none.
 """
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -129,46 +136,23 @@ class Digraph:
         return out
 
 
-def descendants(g: Digraph, s: Iterable[int]) -> set[int]:
-    """All nodes reachable from ``s`` by directed paths, including ``s``."""
-    seen = g._check_nodes(s)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in g.out_adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def neighbour_masks(g: Digraph) -> tuple[list[int], list[int]]:
+    """``(succ, pred)``: bit u of ``succ[v]`` is set when v -> u is an arc,
+    bit u of ``pred[v]`` when u -> v is."""
+    succ = [0] * g.n
+    pred = [0] * g.n
+    for u, v in g.arcs:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    return succ, pred
 
 
-def ascendants(g: Digraph, s: Iterable[int]) -> set[int]:
-    """Union over v in s of the nodes u != v that reach v.
-
-    Members of ``s`` are not automatically included, but one member may be
-    an ascendant of another.
-    """
-    start = g._check_nodes(s)
-    out: set[int] = set()
-    for v in start:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for p in g.in_adj[u]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        out |= seen - {v}
-    return out
-
-
-def kernel(g: Digraph, s: Iterable[int]) -> set[int]:
-    """Sources of the induced subgraph g[s]; defined on DAGs only."""
-    if not is_dag(g):
-        raise GraphError("kernel is only defined on acyclic digraphs")
-    sel = g._check_nodes(s)
-    return {v for v in sel if not any(p in sel for p in g.in_adj[v])}
+def mask_nodes(m: int) -> Iterator[int]:
+    """Set bit positions of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def is_dag(g: Digraph) -> bool:

@@ -62,6 +62,3 @@ class Solution:
     def from_nodes(cls, inst: WeightedInstance, nodes: Iterable[int]) -> "Solution":
         sel = frozenset(nodes)
         return cls(sel, inst.weight_of(sel))
-
-    def sorted_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.selected))

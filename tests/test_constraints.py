@@ -16,7 +16,6 @@ from dss import (
     check_digraph_closure,
     check_maximal,
     check_weak_closure,
-    descendants,
     evaluate,
     graph_to_ssgw,
     is_feasible,
@@ -63,7 +62,7 @@ class TestStrongClosure:
 
         rng = random.Random(2)
         s = {v for v in range(g.n) if rng.random() < 0.3}
-        assert check_digraph_closure(g, descendants(g, s)) is None
+        assert check_digraph_closure(g, oracles.descendants_oracle(g.n, g.arcs, s)) is None
 
 
 class TestWeakClosure:

@@ -375,6 +375,9 @@ class TestCliGenerate:
             (["--weight-max", "-1"], "error: weight_max must be nonnegative\n"),
             (["--budget-fraction", "nan"], "error: budget fraction must be finite\n"),
             (["--budget-fraction", "inf"], "error: budget fraction must be finite\n"),
+            (["--arc-prob", "2"], "error: arc_prob must lie in [0, 1]\n"),
+            (["--arc-prob", "-1"], "error: arc_prob must lie in [0, 1]\n"),
+            (["--arc-prob", "nan"], "error: arc_prob must lie in [0, 1]\n"),
         ],
     )
     def test_random_bad_numbers_exit_2(self, option, message, capsys):

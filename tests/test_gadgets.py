@@ -344,6 +344,15 @@ class TestRandomInstance:
             inst = random_instance(cls, n, seed=seed)
             assert checks[cls](inst.graph), f"{cls} seed {seed}"
 
+    @pytest.mark.parametrize("arc_prob", [2.0, -1.0, float("nan")])
+    def test_arc_prob_outside_unit_interval_rejected(self, arc_prob):
+        with pytest.raises(InstanceError, match=r"arc_prob must lie in \[0, 1\]"):
+            random_instance(GraphClass.DAG, 4, arc_prob=arc_prob)
+
+    def test_arc_prob_bounds_accepted(self):
+        assert random_instance(GraphClass.DAG, 4, arc_prob=0.0).graph.arcs == ()
+        assert len(random_instance(GraphClass.DAG, 4, arc_prob=1.0).graph.arcs) == 6
+
     def test_deterministic_per_seed(self):
         a = random_instance(GraphClass.DAG, 8, seed=7)
         b = random_instance(GraphClass.DAG, 8, seed=7)

@@ -12,20 +12,21 @@ from dss import (
     Digraph,
     GraphClass,
     GraphError,
-    ascendants,
     classify,
     condense,
-    descendants,
     is_dag,
-    kernel,
 )
+from dss.approx import _Reach
 from dss.graph import (
+    _topological_order,
     is_balanced_degree_two,
     is_in_rooted_tree,
     is_out_rooted_tree,
     is_tournament,
     is_underlying_forest,
     is_underlying_tree,
+    mask_nodes,
+    neighbour_masks,
 )
 
 
@@ -142,67 +143,43 @@ class TestDigraph:
         assert peaks[1] <= peaks[0]
 
 
+def _reach(g: Digraph) -> _Reach:
+    return _Reach(g, _topological_order(g), [1] * g.n)
+
+
 class TestReachability:
+    """Neighbour masks from ``graph`` and the descendant and strict
+    ancestor masks the PTAS derives from them."""
+
     def test_descendants_worked_tree(self, fig_a):
         # desc({v3}) on the first worked tree.
-        assert descendants(fig_a, {2}) == {2, 0, 5, 1, 3}
-
-    def test_descendants_empty(self, fig_a):
-        assert descendants(fig_a, set()) == set()
+        assert set(mask_nodes(_reach(fig_a).desc[2])) == {2, 0, 5, 1, 3}
 
     def test_ascendants_worked_tree(self, fig_b):
         # asc({v4}) on the second worked tree is {v5, v8}.
-        assert ascendants(fig_b, {3}) == {4, 7}
+        assert set(mask_nodes(_reach(fig_b).anc[3])) == {4, 7}
 
     def test_ascendants_exclude_self(self):
-        g = Digraph(2, [(0, 1)])
-        assert ascendants(g, {1}) == {0}
-        assert ascendants(g, {0}) == set()
+        assert _reach(Digraph(2, [(0, 1)])).anc == [0, 0b1]
 
     @given(digraphs())
     @settings(max_examples=60, deadline=None)
     def test_descendants_match_oracle(self, g):
+        succ, pred = neighbour_masks(g)
+        assert [tuple(mask_nodes(m)) for m in succ] == list(g.out_adj)
+        assert [tuple(mask_nodes(m)) for m in pred] == list(g.in_adj)
+        dag = Digraph(g.n, [(u, v) for u, v in g.arcs if u < v])
+        desc = _reach(dag).desc
         for v in range(g.n):
-            assert descendants(g, {v}) == oracles.descendants_oracle(
-                g.n, g.arcs, {v}
-            )
+            assert set(mask_nodes(desc[v])) == oracles.descendants_oracle(g.n, dag.arcs, {v})
 
     @given(digraphs())
     @settings(max_examples=60, deadline=None)
     def test_ascendants_match_oracle(self, g):
+        dag = Digraph(g.n, [(u, v) for u, v in g.arcs if u > v])
+        anc = _reach(dag).anc
         for v in range(g.n):
-            assert ascendants(g, {v}) == oracles.ascendants_oracle(
-                g.n, g.arcs, {v}
-            )
-
-
-class TestKernel:
-    def test_worked_tree(self, fig_b):
-        # kernel of {v5,v4,v2,v7,v6} is {v5,v7}.
-        assert kernel(fig_b, {4, 3, 1, 6, 5}) == {4, 6}
-
-    def test_empty(self, fig_a):
-        assert kernel(fig_a, set()) == set()
-
-    def test_rejects_cycle(self):
-        g = Digraph(2, [(0, 1), (1, 0)])
-        with pytest.raises(GraphError):
-            kernel(g, {0})
-
-    @given(digraphs())
-    @settings(max_examples=60, deadline=None)
-    def test_kernel_minimality(self, g):
-        """The kernel of s generates every node of s reachable inside s."""
-        if not is_dag(g):
-            return
-        import random
-
-        rng = random.Random(0)
-        s = {v for v in range(g.n) if rng.random() < 0.5}
-        ker = kernel(g, s)
-        assert ker <= s
-        inside = [(u, v) for u, v in g.arcs if u in s and v in s]
-        assert oracles.descendants_oracle(g.n, inside, ker) == s
+            assert set(mask_nodes(anc[v])) == oracles.ascendants_oracle(g.n, dag.arcs, {v})
 
 
 class TestCondensation:
