@@ -1,4 +1,5 @@
-"""Hot numeric kernels: Python-int bitsets and numpy.
+"""Hot numeric kernels: Python-int bitsets for the tree DPs, numpy for
+brute force.
 
 Kernels:
 
@@ -8,14 +9,9 @@ Kernels:
   loops over the runs of set bits of the operand with fewer runs, and a
   run of r bits costs O(log r) shift-ORs (doubling), so an interval of
   reachable weights costs about as much as a single weight.  This is the
-  inner loop of the boolean tree dynamic programs.
+  inner loop of every tree dynamic program.
 - ``reverse_bits(x, nbits)``: the ``nbits`` low bits of ``x`` in reverse
   order, so that the traceback can meet two bitsets at a fixed sum.
-- ``maxmin_convolve(a, b)``: (max, min) convolution of two score
-  vectors, capped at the length of ``a``; ``b`` may be shorter.  Entry
-  -1 means unreachable.  Inner loop of the maximal-minimization tree
-  program.  It loops over the set entries of whichever operand has fewer
-  of them and merges a slice of the other operand per entry.
 - ``closed_subsets(out_masks, weights)``: for every bitmask over n
   nodes, whether the subset is closed under "selected implies all
   out-neighbours selected", plus its total weight.
@@ -76,20 +72,6 @@ def reverse_bits(x: int, nbits: int) -> int:
     nbytes = (nbits + 7) >> 3
     data = x.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
     return int.from_bytes(data, "big") >> (8 * nbytes - nbits)
-
-
-def maxmin_convolve(a, b):
-    n = a.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    ia, ib = (a >= 0).nonzero()[0], (b >= 0).nonzero()[0]
-    if ib.size < ia.size:
-        a, b, ia = b, a, ib
-    for s in ia:
-        seg = b[: n - s]
-        # min(a[s], -1) = -1 keeps unreachable entries unreachable.
-        dst = out[s : s + seg.shape[0]]
-        np.maximum(dst, np.minimum(seg, a[s]), out=dst)
-    return out
 
 
 def _tables(n):

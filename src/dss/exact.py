@@ -16,22 +16,25 @@
   ints, one bit per weight, merged by shift-OR (``_kernels.shift_or``).
 - ``solve_maximal_ssg_tree``: maximal-minimization DP on oriented
   trees tracking, per total weight, the best achievable minimum weight
-  over vertices that could still be added.
+  over vertices that could still be added, as one bitset per distinct
+  node weight up to the budget (plus one for "none fits").
 - ``solve_ssgw_rooted_tree``: weak-closure DP for in-rooted and
   out-rooted trees.
 
   The three tree DPs are state tables (``_STRONG``, ``_MAXIMAL``,
   ``_WEAK``) run by one iterative skeleton, ``_TreeDP``.  A table names
   its vector algebra: ``_Bits`` (int bitsets) for the two boolean kinds,
-  ``_Scores`` (numpy int64) for the maximal kind.  The traceback keeps
-  every node's vectors and its accumulators from before each child, so
-  memory is O(sum of the cut vector lengths): bits for the boolean
-  kinds.
+  ``_Levels`` (a list of ``_Bits`` vectors, one per score threshold) for
+  the maximal kind.  The traceback keeps every node's vectors and its
+  accumulators from before each child, so memory is O(sum of the cut
+  vector lengths) bits, times the number of levels for the maximal kind.
+  The tree DPs refuse min(B, total weight) > ``DEFAULT_BUDGET_CAP``.
 - ``solve_tournament`` and ``solve_balanced_degree_two``: the two
   polynomial special cases.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -207,7 +210,7 @@ class _Bits:
         return (vec << w) & ((1 << size) - 1)
 
     @staticmethod
-    def split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
+    def split(left: dict, pairs, views: dict, rem: int, level) -> tuple[int, str, str]:
         """(a, source, view): the smallest a with bit a of left[source]
         and bit rem - a of views[view] set, then the first pair and view
         in table order.  With k the view's length, at most rem + 1, and
@@ -230,62 +233,61 @@ class _Bits:
 
     @staticmethod
     def best(answer: int, budget: int) -> tuple[int, None]:
-        """The largest reachable weight; a witness needs no threshold."""
+        """The largest reachable weight; a witness needs no level."""
         return answer.bit_length() - 1, None
 
 
-class _Scores:
-    """(max, min) score vectors as numpy int64 arrays, -1 where the
-    weight is unreachable.  No shift: ``_MAXIMAL`` has no shifted state."""
+class _Levels:
+    """(max, min) score vectors as one ``_Bits`` vector per level: bit b
+    of level j is set iff a selection of weight b scores at least
+    ``thresholds[j]``.  The thresholds are the distinct node weights up to
+    the budget B, then B + 1 for every heavier weight and for "no addable
+    vertex".  Scores are node weights or that, so for s <= B + 1 a score
+    is >= s iff it is >= the smallest threshold >= s.  No shift:
+    ``_MAXIMAL`` has no shifted state."""
 
-    # A selection with no addable vertex at all; larger than any weight.
-    NO_ADDABLE = np.int64(2**62)
+    def __init__(self, weights, budget: int):
+        self.thresholds = sorted({w for w in weights if w <= budget}) + [budget + 1]
 
-    @staticmethod
-    def start(size: int, at: Optional[int]) -> np.ndarray:
-        vec = np.full(size, -1, dtype=np.int64)
-        if at is not None and at < size:
-            vec[at] = _Scores.NO_ADDABLE
-        return vec
-
-    @staticmethod
-    def merge(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-        return _kernels.maxmin_convolve(a, b)
+    def start(self, size: int, at: Optional[int]) -> list[int]:
+        return [_Bits.start(size, at)] * len(self.thresholds)
 
     @staticmethod
-    def join(vectors) -> np.ndarray:
-        return functools.reduce(np.maximum, vectors)
+    def merge(a: list[int], b: list[int], size: int) -> list[int]:
+        """min(x, y) >= t iff x >= t and y >= t: shift-OR per level, run
+        once per run of equal neighbouring level pairs."""
+        out, last = [], None
+        for pair in zip(a, b):
+            if pair != last:
+                last, vec = pair, _kernels.shift_or(*pair, size)
+            out.append(vec)
+        return out
 
     @staticmethod
-    def split(left: dict, pairs, views: dict, rem: int, threshold) -> tuple[int, str, str]:
-        """(a, source, view): the smallest a with left[source][a] and
-        views[view][rem - a] both >= threshold, then the first pair and
-        view in table order."""
-        best = None
-        for src, names in pairs:
-            lvec = left[src]
-            for name in names:
-                rvec = views[name]
-                # The vectors of one node share a length, so lo is the same
-                # for every pair and view: a hit at lo cannot be beaten.
-                lo, hi = max(0, rem + 1 - rvec.size), min(rem, lvec.size - 1)
-                ok = (lvec[lo : hi + 1] >= threshold) & (
-                    rvec[rem - hi : rem - lo + 1][::-1] >= threshold
-                )
-                i = int(ok.argmax())
-                if ok[i] and (best is None or lo + i < best[0]):
-                    best = (lo + i, src, name)
-                    if i == 0:
-                        return best
-        assert best is not None, "no witness split found (corrupt DP table)"
-        return best
+    def join(vectors) -> list[int]:
+        return functools.reduce(lambda a, b: list(map(operator.or_, a, b)), vectors)
+
+    def addable(self, vec: list[int], w: int) -> list[int]:
+        """min(vec, w): the levels whose threshold is above w emptied."""
+        k = bisect.bisect_right(self.thresholds, w)
+        return vec[:k] + [0] * (len(vec) - k)
 
     @staticmethod
-    def best(answer: np.ndarray, budget: int) -> tuple[int, int]:
+    def split(left: dict, pairs, views: dict, rem: int, level: int) -> tuple[int, str, str]:
+        """``_Bits.split`` on the witness level."""
+        left, views = ({k: vec[level] for k, vec in d.items()} for d in (left, views))
+        return _Bits.split(left, pairs, views, rem, None)
+
+    def best(self, answer: list[int], budget: int) -> tuple[int, int]:
         """The smallest weight b whose score exceeds B - b, i.e. at which
-        no addable vertex fits, and the threshold a witness must reach."""
-        b = int(np.flatnonzero(answer > budget - np.arange(answer.size))[0])
-        return b, budget - b + 1
+        no addable vertex fits, and the level a witness must reach: that
+        of B + 1 - b.  Level j holds such a b iff b >= B + 1 - t_j."""
+        b = min(
+            lo + (hits & -hits).bit_length() - 1
+            for t, vec in zip(self.thresholds, answer)
+            if (hits := vec >> (lo := budget + 1 - t))
+        )
+        return b, bisect.bisect_left(self.thresholds, budget + 1 - b)
 
 
 # Pairs (source state, child views) per destination state.
@@ -298,27 +300,27 @@ class _Kind:
     booleans that is (OR, AND).
 
     Each node keeps one vector per state, indexed by the total weight of
-    a selection in its subtree.  ``ops`` is the vector algebra (start,
-    merge, join, shift, split search and answer read-out): ``_Bits`` for
-    booleans, ``_Scores`` for (max, min) scores.  ``start(w, leaf)``
-    gives, per state, the one weight at which it holds ``one`` before any
-    child is merged (None: nowhere).
+    a selection in its subtree.  ``ops(weights, budget)`` builds the
+    vector algebra (start, merge, join, shift, split search and answer
+    read-out): ``_Bits`` for booleans, ``_Levels`` for (max, min) scores.
+    ``start(w, leaf)`` gives, per state, the one weight at which it holds
+    ``one`` before any child is merged (None: nowhere).
     ``table[arc v -> u]`` maps each state of v to its (source state, child
     views) pairs: the views are joined, merged into the source's
     accumulator, and the pairs joined.  The traceback takes the smallest
     split, then the first pair and the first view in table order.
-    ``views(acc, w)`` gives the vectors a father reads, and ``view_state``
-    the state each view resolves the child into.  The state ``plus``
+    ``views(ops, acc, w)`` gives the vectors a father reads, and
+    ``view_state`` the state each view resolves the child into.  The state ``plus``
     means "node selected".  A ``shifted`` state is built after each child
     step as the join of other states moved up by the node weight, which
     must equal what its table pairs give; its pairs then only drive the
     traceback, and the step saves a merge.
     """
 
-    ops: type
+    ops: Callable[[Iterable[int], int], object]
     start: Callable[[int, bool], dict[str, Optional[int]]]
     table: dict[bool, _Table]
-    views: Callable[[dict, int], dict]
+    views: Callable[[object, dict, int], dict]
     view_state: dict[str, str]
     shifted: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -326,7 +328,7 @@ class _Kind:
 # Strong closure on an oriented forest: a selected v forces a ch+ child
 # (arc v -> u); an unselected v forbids a ch- child (arc u -> v).
 _STRONG = _Kind(
-    ops=_Bits,
+    ops=lambda weights, budget: _Bits,
     start=lambda w, leaf: {"plus": w, "minus": 0},
     table={
         True: {
@@ -338,21 +340,22 @@ _STRONG = _Kind(
             "minus": (("minus", ("minus",)),),
         },
     },
-    views=lambda acc, w: acc,
+    views=lambda ops, acc, w: acc,
     view_state={"plus": "plus", "minus": "minus"},
 )
 
 # Maximal strong closure on an oriented tree.  A feasible selection S is
 # maximal iff every addable vertex (unselected, all out-neighbours
-# selected) weighs more than B - w(S).  Entries hold the best (largest)
-# achievable minimum weight over addable vertices, -1 when the weight is
-# unreachable, so maximality at weight b reads as score(b) > B - b.
+# selected) weighs more than B - w(S).  A selection scores the least
+# weight of its addable vertices (above every weight if it has none), and
+# each weight keeps the best score of its selections, so maximality at
+# weight b reads as score(b) > B - b.
 # open: v unselected, every ch+ child selected (v is addable unless its
 # father is an unselected out-neighbour); closed: v unselected with an
 # unselected ch+ child.  The view ``addable`` is an open child whose
 # father does not block it.
 _MAXIMAL = _Kind(
-    ops=_Scores,
+    ops=_Levels,
     start=lambda w, leaf: {"plus": w, "open": 0, "closed": None},
     table={
         True: {
@@ -369,7 +372,7 @@ _MAXIMAL = _Kind(
             "closed": (("closed", ("open", "closed")),),
         },
     },
-    views=lambda acc, w: {**acc, "addable": np.minimum(acc["open"], w)},
+    views=lambda ops, acc, w: {**acc, "addable": ops.addable(acc["open"], w)},
     view_state={"plus": "plus", "open": "open", "addable": "open", "closed": "closed"},
 )
 
@@ -381,7 +384,7 @@ _MAXIMAL = _Kind(
 # selected v leaves its children free, and all_plus | some_minus covers
 # every choice of them, so plus is that join moved up by w.
 _WEAK = _Kind(
-    ops=_Bits,
+    ops=lambda weights, budget: _Bits,
     start=lambda w, leaf: {"plus": w, "all_plus": 0, "some_minus": 0 if leaf else None},
     table={
         False: {
@@ -393,7 +396,7 @@ _WEAK = _Kind(
             ),
         },
     },
-    views=lambda acc, w: {"plus": acc["plus"], "minus": acc["some_minus"]},
+    views=lambda ops, acc, w: {"plus": acc["plus"], "minus": acc["some_minus"]},
     view_state={"plus": "plus", "minus": "some_minus"},
     shifted={"plus": ("all_plus", "some_minus")},
 )
@@ -412,6 +415,7 @@ class _TreeDP:
 
     def __init__(self, g: Digraph, weights, cap: int, kind: _Kind, starts: Iterable[int]):
         self.kind = kind
+        self.ops = ops = kind.ops(weights, cap)
         self.root = g.n
         self.weights = list(weights) + [0]
         self.arcs = set(g.arcs)
@@ -423,7 +427,6 @@ class _TreeDP:
                 self.kids[v] = sorted(children[v])
             order.extend(reversed(pre))
         order.append(self.root)
-        ops = kind.ops
         size: dict[int, int] = {}
         # Per node: the accumulators before each child, for the traceback.
         self.steps: dict[int, list[dict]] = {}
@@ -450,15 +453,15 @@ class _TreeDP:
                 for dest, parts in kind.shifted.items():
                     acc[dest] = ops.shift(ops.join([acc[p] for p in parts]), self.weights[v], length)
             self.steps[v] = steps
-            self.views[v] = kind.views(acc, self.weights[v])
+            self.views[v] = kind.views(ops, acc, self.weights[v])
         self.answer = acc["plus"]
 
     def _spec(self, v: int) -> dict[str, Optional[int]]:
         return self.kind.start(self.weights[v], not self.kids[v])
 
-    def witness(self, b: int, threshold) -> set[int]:
-        """A selection of weight b whose virtual-root entry reaches
-        ``threshold``, read with an explicit stack."""
+    def witness(self, b: int, level) -> set[int]:
+        """A selection of weight b whose virtual-root entry is set at
+        ``level`` (None for bits), read with an explicit stack."""
         out: set[int] = set()
         stack = [(self.root, "plus", b)]
         while stack:
@@ -467,7 +470,7 @@ class _TreeDP:
                 out.add(v)
             for u, left in zip(reversed(self.kids[v]), reversed(self.steps[v])):
                 pairs = self.kind.table[(v, u) in self.arcs][state]
-                a, state, view = self.kind.ops.split(left, pairs, self.views[u], rem, threshold)
+                a, state, view = self.ops.split(left, pairs, self.views[u], rem, level)
                 stack.append((u, self.kind.view_state[view], rem - a))
                 rem = a
             # A start vector holds ``one`` at its single weight only.
@@ -477,29 +480,26 @@ class _TreeDP:
 
 def _tree_solution(inst: WeightedInstance, kind: _Kind, starts: Iterable[int]) -> Solution:
     dp = _TreeDP(inst.graph, inst.weights, inst.budget, kind, starts)
-    b, threshold = kind.ops.best(dp.answer, inst.budget)
-    return Solution(frozenset(dp.witness(b, threshold)), b)
+    b, level = dp.ops.best(dp.answer, inst.budget)
+    return Solution(frozenset(dp.witness(b, level)), b)
 
 
-def _check_cap(inst: WeightedInstance, budget_cap: int) -> None:
-    if inst.budget > budget_cap:
-        raise CapExceeded(f"budget {inst.budget} exceeds DP table cap {budget_cap}")
+def _check_cap(inst: WeightedInstance) -> None:
+    """The vectors are cut to min(B, total weight) + 1 entries."""
+    if min(inst.budget, inst.total_weight()) > DEFAULT_BUDGET_CAP:
+        raise CapExceeded(f"budget {inst.budget} exceeds DP table cap {DEFAULT_BUDGET_CAP}")
 
 
-def solve_ssg_tree(
-    inst: WeightedInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> Solution:
+def solve_ssg_tree(inst: WeightedInstance) -> Solution:
     """Maximum-weight closed-and-budgeted set on an oriented forest."""
     g = inst.graph
     if not is_underlying_forest(g):
         raise SolverError("forest DP requires an oriented forest")
-    _check_cap(inst, budget_cap)
+    _check_cap(inst)
     return _tree_solution(inst, _STRONG, g.nodes())
 
 
-def solve_maximal_ssg_tree(
-    inst: WeightedInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> Solution:
+def solve_maximal_ssg_tree(inst: WeightedInstance) -> Solution:
     """Minimum-weight maximal solution on an oriented tree.
 
     Runs the addable-vertex score program and picks the smallest weight
@@ -509,15 +509,13 @@ def solve_maximal_ssg_tree(
     g = inst.graph
     if not is_underlying_tree(g):
         raise SolverError("maximal tree DP requires an oriented tree")
-    _check_cap(inst, budget_cap)
+    _check_cap(inst)
     if inst.total_weight() <= inst.budget:
         return Solution(frozenset(g.nodes()), inst.total_weight())
     return _tree_solution(inst, _MAXIMAL, g.nodes())
 
 
-def solve_ssgw_rooted_tree(
-    inst: WeightedInstance, budget_cap: int = DEFAULT_BUDGET_CAP
-) -> Solution:
+def solve_ssgw_rooted_tree(inst: WeightedInstance) -> Solution:
     """Weak-closure maximization on an in-rooted or out-rooted tree.
 
     On in-rooted trees every node has a single in-neighbour, so the weak
@@ -526,12 +524,12 @@ def solve_ssgw_rooted_tree(
     """
     g = inst.graph
     if is_in_rooted_tree(g):
-        return solve_ssg_tree(inst, budget_cap)
+        return solve_ssg_tree(inst)
     if not is_out_rooted_tree(g):
         raise SolverError(
             "weak-closure tree DP requires an in-rooted or out-rooted tree"
         )
-    _check_cap(inst, budget_cap)
+    _check_cap(inst)
     sink = next(v for v in g.nodes() if not g.out_adj[v])
     return _tree_solution(inst, _WEAK, [sink])
 

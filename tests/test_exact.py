@@ -27,7 +27,7 @@ from dss import (
     subset_sum_to_tree,
     verify_solution,
 )
-from dss.exact import _STRONG, _WEAK, _Bits
+from dss.exact import _STRONG, _WEAK, _Bits, _Levels
 from test_graph import digraphs
 
 
@@ -154,9 +154,23 @@ class TestForestDP:
             solve_ssg_tree(inst)
 
     def test_budget_cap(self, fig_a):
-        inst = make_instance(fig_a, [1] * 8, 10**7)
-        with pytest.raises(CapExceeded):
+        # The cap is tested against min(B, total weight): here 1.6 * 10^6.
+        inst = make_instance(fig_a, [200_000] * 8, 10**7)
+        with pytest.raises(CapExceeded, match="^budget 10000000 exceeds DP table cap 1000000$"):
             solve_ssg_tree(inst)
+
+    def test_cap_reads_min_of_budget_and_total(self):
+        """Past the cap of 10^6 in B or in the total weight, not both: no
+        selection weighs more than either."""
+        g = Digraph(3, [(0, 1), (1, 2)])
+        for kind, solve in (
+            (ProblemKind.SSG, solve_ssg_tree),
+            (ProblemKind.SSGW, solve_ssgw_rooted_tree),
+            (ProblemKind.MAXIMAL_SSG, solve_maximal_ssg_tree),
+        ):
+            for weights, budget in (([1, 2, 3], 10**7), ([600_000, 700_000, 3], 700_003)):
+                inst = make_instance(g, weights, budget, kind)
+                assert solve(inst) == brute_force(inst), (kind.value, budget)
 
     def test_structure_checked_before_cap(self):
         g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -185,6 +199,22 @@ class TestForestDP:
             tracemalloc.stop()
         assert sol.weight == 1000 * n and sol.selected == frozenset(range(n))
         assert peak < 40e6
+
+    def test_maximal_peak_memory_on_long_weighted_path(self):
+        """One bit per entry and level: a 200-node directed path with
+        weights 1000 and B = 99,999 has two levels (1000 and B + 1)."""
+        n = 200
+        g = Digraph(n, [(i, i + 1) for i in range(n - 1)])
+        inst = make_instance(g, [1000] * n, 99_999, ProblemKind.MAXIMAL_SSG)
+        tracemalloc.start()
+        try:
+            sol = solve_maximal_ssg_tree(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The closed sets are the suffixes; the longest that fits is maximal.
+        assert sol.weight == 99_000 and sol.selected == frozenset(range(101, n))
+        assert peak < 20e6
 
     def test_random_agreement_with_brute(self):
         for seed in range(60):
@@ -225,6 +255,25 @@ class TestMaximalTreeDP:
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
             assert verify_solution(inst, sol).feasible
+
+    def test_mixed_weights_and_edge_budgets(self):
+        """Weights of 0, small and above B make levels empty, equal to
+        their neighbours or folded into the top level."""
+        for seed in range(80):
+            rng = random.Random(f"levels/{seed}")
+            n = rng.randint(1, 9)
+            arcs = []
+            for v in range(1, n):
+                u = rng.randrange(v)
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+            weights = [rng.choice([0, rng.randint(1, 4), rng.randint(50, 60)]) for _ in range(n)]
+            total = sum(weights)
+            for budget in sorted({0, 1, max(total - 1, 0), total, total + 1}):
+                inst = make_instance(Digraph(n, arcs), weights, budget, ProblemKind.MAXIMAL_SSG)
+                sol = solve_maximal_ssg_tree(inst)
+                assert sol.weight == brute_force(inst).weight, f"seed {seed} budget {budget}"
+                assert inst.weight_of(sol.selected) == sol.weight
+                assert verify_solution(inst, sol).feasible
 
 
 class TestWeakTreeDP:
@@ -302,6 +351,67 @@ class TestBitSplit:
                 _Bits.split(left, pairs, views, rem, None)
         else:
             assert _Bits.split(left, pairs, views, rem, None) == expect
+
+
+def _encode_scores(ops, scores):
+    """Score list (-1: unreachable) as levels: bit i of level j is set iff
+    scores[i] >= thresholds[j]."""
+    return [
+        sum(1 << i for i, s in enumerate(scores) if s >= t) for t in ops.thresholds
+    ]
+
+
+def _decode_scores(ops, levels, n):
+    return [
+        max((t for t, vec in zip(ops.thresholds, levels) if (vec >> i) & 1), default=-1)
+        for i in range(n)
+    ]
+
+
+def _maxmin_reference(a, b, n):
+    ref = [-1] * n
+    for i in range(n):
+        for j in range(min(len(b), n - i)):
+            if a[i] >= 0 and b[j] >= 0:
+                ref[i + j] = max(ref[i + j], min(a[i], b[j]))
+    return ref
+
+
+# Thresholds 0..9, then 10 for "no addable vertex".
+_LEVELS = _Levels(range(10), 9)
+_SCORES = st.lists(st.integers(min_value=-1, max_value=10), min_size=1, max_size=10)
+
+
+class TestLevelsMerge:
+    """``_Levels.merge`` is the (max, min) convolution of score vectors,
+    cut to the length of ``a``."""
+
+    def _merge(self, a, b):
+        n = len(a)
+        out = _LEVELS.merge(_encode_scores(_LEVELS, a), _encode_scores(_LEVELS, b), n)
+        return _decode_scores(_LEVELS, out, n)
+
+    def test_delta_identity(self):
+        a = [10, -1, -1, -1, -1, -1]  # no addable vertex at weight 0
+        b = [-1, -1, 7, -1, 3, -1]
+        assert self._merge(a, b) == b
+
+    def test_unreachable_stays_unreachable(self):
+        assert self._merge([-1] * 4, [-1] * 4) == [-1] * 4
+
+    @given(_SCORES, _SCORES)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, xs, ys):
+        n = max(len(xs), len(ys))
+        a = xs + [-1] * (n - len(xs))
+        b = ys + [-1] * (n - len(ys))
+        assert self._merge(a, b) == _maxmin_reference(a, b, n)
+
+    @given(_SCORES, _SCORES)
+    @settings(max_examples=80, deadline=None)
+    def test_shorter_b_matches_reference(self, xs, ys):
+        a, b = xs + ys, ys  # len(b) < len(a)
+        assert self._merge(a, b) == _maxmin_reference(a, b, len(a))
 
 
 class TestDeepTrees:

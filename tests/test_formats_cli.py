@@ -285,10 +285,27 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("kind", ["ssg", "ssgw", "maximal-ssg"])
     def test_auto_past_cap_on_tree_exits_2(self, kind, tmp_path, capsys):
+        # The cap is tested against min(B, total weight): here 1.3 * 10^6.
         path = tmp_path / "path.txt"
-        path.write_text(f"problem {kind}\nbudget 2000000\nnode a 1\nnode b 2\narc a b\n")
+        path.write_text(
+            f"problem {kind}\nbudget 2000000\nnode a 600000\nnode b 700000\narc a b\n"
+        )
         assert main(["solve", str(path)]) == 2
         assert "exceeds DP table cap 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["ssg", "ssgw", "maximal-ssg"])
+    def test_big_budget_small_total_on_tree(self, kind, tmp_path, capsys):
+        # B = 10^7 is past the cap, but the total weight is 6.
+        path = tmp_path / "path.txt"
+        path.write_text(
+            f"problem {kind}\nbudget 10000000\nnode a 1\nnode b 2\nnode c 3\n"
+            "arc a b\narc b c\n"
+        )
+        assert main(["solve", str(path), "--algorithm", "brute"]) == 0
+        expected = capsys.readouterr().out
+        for algorithm in ("auto", "tree-dp"):
+            assert main(["solve", str(path), "--algorithm", algorithm]) == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestCliCheck:

@@ -83,54 +83,6 @@ class TestReverseBits:
         assert _kernels.reverse_bits(x, nbits) == expect
 
 
-class TestMaxminConvolve:
-    def test_delta_identity(self):
-        a = np.full(6, -1, dtype=np.int64)
-        a[0] = 2**62  # "no constraint" score at weight 0
-        b = np.full(6, -1, dtype=np.int64)
-        b[2], b[4] = 7, 3
-        assert np.array_equal(_kernels.maxmin_convolve(a, b), b)
-
-    def test_unreachable_stays_unreachable(self):
-        a = np.full(4, -1, dtype=np.int64)
-        b = np.full(4, -1, dtype=np.int64)
-        assert np.array_equal(_kernels.maxmin_convolve(a, b), a)
-
-    @given(
-        st.lists(st.integers(min_value=-1, max_value=9), min_size=1, max_size=10),
-        st.lists(st.integers(min_value=-1, max_value=9), min_size=1, max_size=10),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_backends_agree_and_match_reference(self, xs, ys):
-        n = max(len(xs), len(ys))
-        a = np.full(n, -1, dtype=np.int64)
-        a[: len(xs)] = xs
-        b = np.full(n, -1, dtype=np.int64)
-        b[: len(ys)] = ys
-        ref = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(n - i):
-                if a[i] >= 0 and b[j] >= 0:
-                    ref[i + j] = max(ref[i + j], min(a[i], b[j]))
-        assert np.array_equal(_kernels.maxmin_convolve(a, b), ref)
-
-    @given(
-        st.lists(st.integers(min_value=-1, max_value=9), min_size=1, max_size=10),
-        st.lists(st.integers(min_value=-1, max_value=9), min_size=1, max_size=10),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_shorter_b_matches_reference(self, xs, ys):
-        a = np.array(xs + ys, dtype=np.int64)
-        b = np.array(ys, dtype=np.int64)  # len(b) < len(a)
-        n = a.shape[0]
-        ref = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(min(b.shape[0], n - i)):
-                if a[i] >= 0 and b[j] >= 0:
-                    ref[i + j] = max(ref[i + j], min(a[i], b[j]))
-        assert np.array_equal(_kernels.maxmin_convolve(a, b), ref)
-
-
 def _random_masks(seed, n):
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 1 << n, size=n, dtype=np.int64)
