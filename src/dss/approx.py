@@ -35,7 +35,7 @@ the descendants of a source z inside ``avail`` are ``desc[z] & avail``,
 and discarding z changes the cone of no other source: only the new
 sources it exposes need weighing.
 
-Skipped seeds, neither of which can change the output:
+Skipped seeds, none of which can change the output:
 
 - maximization: the kernel of a seed S is the set of nodes of S with no
   in-neighbour in S.  Every node of S is reached from its kernel, so when
@@ -48,6 +48,9 @@ Skipped seeds, neither of which can change the output:
   earlier result, and only a strictly smaller weight replaces the
   incumbent.  Seeds with an arc inside are such repeats and are never
   built.
+- maximization, exact fill: the seed loop ends once the incumbent weighs
+  exactly B.  No greedy result passes B, so no later seed weighs strictly
+  more, and only a strictly larger weight replaces the incumbent.
 """
 from __future__ import annotations
 
@@ -207,6 +210,8 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
         sol, w = _fill_max(r, inst.budget, base, base_w, r.full & ~up & ~base)
         if w > best_w:
             best, best_w = sol, w
+            if best_w == inst.budget:
+                break
     nodes = expand(best)
     guarantee = Fraction(1, 2) if k == 0 else Fraction(k, k + 1)
     return ApproxResult(

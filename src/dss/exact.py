@@ -509,9 +509,9 @@ def solve_maximal_ssg_tree(inst: WeightedInstance) -> Solution:
     g = inst.graph
     if not is_underlying_tree(g):
         raise SolverError("maximal tree DP requires an oriented tree")
-    _check_cap(inst)
     if inst.total_weight() <= inst.budget:
         return Solution(frozenset(g.nodes()), inst.total_weight())
+    _check_cap(inst)
     return _tree_solution(inst, _MAXIMAL, g.nodes())
 
 

@@ -26,6 +26,8 @@ from dss import (
     random_instance,
     verify_solution,
 )
+from dss import approx
+from dss.graph import mask_nodes
 
 
 def _random_dag(seed, n_max=10, kind=ProblemKind.SSG):
@@ -95,6 +97,26 @@ class TestPtasSSG:
             sol = ptas_ssg(inst, inst.graph.n).solution
             assert sol.weight == brute_force(inst).weight
             assert is_feasible(inst, sol.selected)
+
+    def test_seed_loop_stops_at_exact_fill(self, fig_a, monkeypatch):
+        calls = []
+        fill = approx._fill_max
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(approx, "_fill_max", counted)
+        weights = (2, 1, 4, 3, 1, 2, 5, 1)
+        inst = WeightedInstance(fig_a, weights, sum(weights), ProblemKind.SSG)
+        assert ptas_ssg(inst, 2).solution.weight == sum(weights)
+        assert len(calls) == 1
+        # The empty seed and {0} fall short of B; {1} fills it.
+        calls.clear()
+        g = Digraph(5, [(4, 3)])
+        inst = WeightedInstance(g, (5, 4, 3, 3, 0), 7, ProblemKind.SSG)
+        assert ptas_ssg(inst, 3).solution.weight == 7
+        assert len(calls) == 3
 
 
 class TestPtasMaximalSSG:
@@ -236,3 +258,27 @@ class TestMatchesSetOracle:
         assert not {(0, 2), (2, 0)} & set(g.arcs)
         assert descendants_oracle(6, g.arcs, {0, 2}) == descendants_oracle(6, g.arcs, {0})
         _assert_matches_oracle(g, weights, budget, range(7), "skip rules")
+
+    def test_first_exact_fill_wins(self):
+        # No arc but 4 -> 3, weights (5, 4, 3, 3, 0), B = 7.  The empty
+        # seed's greedy takes node 0 and stops at 5; seeds {1} and {2} fill
+        # B with {1, 2}, and the later seeds {3} and {4} with {1, 3} and
+        # {1, 3, 4}.  The loop stops at the first of them.
+        g = Digraph(5, [(4, 3)])
+        weights = (5, 4, 3, 3, 0)
+        budget = 7
+        inst = WeightedInstance(g, weights, budget, ProblemKind.SSG)
+        r, _ = approx._condensed_view(inst)
+        fills = {}
+        for seed, base, base_w in r.seeds(3, budget):
+            up = 0
+            for v in mask_nodes(seed):
+                up |= r.anc[v]
+            sol, w = approx._fill_max(r, budget, base, base_w, r.full & ~up & ~base)
+            fills[frozenset(mask_nodes(seed))] = (frozenset(mask_nodes(sol)), w)
+        assert fills[frozenset()] == (frozenset({0}), 5)
+        assert fills[frozenset({1})] == (frozenset({1, 2}), budget)
+        assert fills[frozenset({3})] == (frozenset({1, 3}), budget)
+        assert fills[frozenset({4})] == (frozenset({1, 3, 4}), budget)
+        _assert_matches_oracle(g, weights, budget, range(4), "first exact fill")
+        assert ptas_ssg(inst, 3).solution.selected == frozenset({1, 2})

@@ -172,6 +172,15 @@ class TestForestDP:
                 inst = make_instance(g, weights, budget, kind)
                 assert solve(inst) == brute_force(inst), (kind.value, budget)
 
+    def test_maximal_whole_tree_fits_past_cap(self):
+        """When every node fits, maximal-ssg answers the whole tree before
+        the cap is tested: total 2 * 10^6 <= B = 3 * 10^6."""
+        g = Digraph(2, [(0, 1)])
+        inst = make_instance(g, [10**6, 10**6], 3 * 10**6, ProblemKind.MAXIMAL_SSG)
+        sol = solve_maximal_ssg_tree(inst)
+        assert sol == brute_force(inst)
+        assert sol.selected == frozenset({0, 1}) and sol.weight == 2 * 10**6
+
     def test_structure_checked_before_cap(self):
         g = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         for kind, solve in (

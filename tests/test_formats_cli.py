@@ -285,10 +285,11 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("kind", ["ssg", "ssgw", "maximal-ssg"])
     def test_auto_past_cap_on_tree_exits_2(self, kind, tmp_path, capsys):
-        # The cap is tested against min(B, total weight): here 1.3 * 10^6.
+        # The cap is tested against min(B, total weight): here 1.2 * 10^6.
+        # The total, 1.3 * 10^6, must pass B, or maximal-ssg takes every node.
         path = tmp_path / "path.txt"
         path.write_text(
-            f"problem {kind}\nbudget 2000000\nnode a 600000\nnode b 700000\narc a b\n"
+            f"problem {kind}\nbudget 1200000\nnode a 600000\nnode b 700000\narc a b\n"
         )
         assert main(["solve", str(path)]) == 2
         assert "exceeds DP table cap 1000000" in capsys.readouterr().err
@@ -306,6 +307,19 @@ class TestCliSolve:
         for algorithm in ("auto", "tree-dp"):
             assert main(["solve", str(path), "--algorithm", algorithm]) == 0
             assert capsys.readouterr().out == expected
+
+    def test_maximal_whole_tree_fits_past_cap(self, tmp_path, capsys):
+        # Total 2 * 10^6 is past the cap but fits B, so both nodes are the answer.
+        path = tmp_path / "path.txt"
+        path.write_text(
+            "problem maximal-ssg\nbudget 3000000\nnode a 1000000\nnode b 1000000\n"
+            "arc a b\n"
+        )
+        assert main(["solve", str(path), "--algorithm", "brute"]) == 0
+        expected = capsys.readouterr().out
+        assert "weight 2000000" in expected and "feasible true" in expected
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestCliCheck:
