@@ -24,10 +24,23 @@ These three are the brute-force oracle.  Bit i of a mask is node i, and
 the neighbour masks carry no self bit (the graphs have no loops).  The
 tables are filled in place by doubling: the masks [2^i, 2^(i+1)) are the
 masks [0, 2^i) plus node i, so each step copies the prefix and then
-applies only the rules whose highest node is i.  The closure tables take
-O(2^n) time and memory for the strong rule; a weak rule costs 2^t at its
-highest node t.  The completions add ceil(log2 n) + 1 gathers of 2^n at
-most.
+applies only the rules whose highest node is i.
+
+A rule is a condition on a few bits, so the masks it touches form a
+sub-cube: reshaped to (2,)*i, the half table [0, 2^i) or [2^i, 2^(i+1))
+is one axis per node below i, and fixing the rule's axes to 0 or 1
+leaves a strided view of exactly those masks (``_cube``).  Each rule is
+one write into such a view: ``False`` for a closure rule, the forced bit
+OR-ed in for a completion.  The strong rule "every out-neighbour
+selected" fails where some single one is not, so it is one write per
+arc, 2^(t-1) entries at its higher node t; a weak rule fixes all of its
+k bits at once, 2^(t-k) entries.  No mask index array and no per-rule
+temporary is built, so the closure tables hold a bool and an int64 (the
+weight) per mask, 9 bytes, and the completions an int64, 8 bytes, with
+one more such table alive during the pointer doubling, which adds
+ceil(log2 n) + 1 gathers of 2^n at most.  A view has one axis per node,
+and numpy 1.x allows 32 axes (2.x 64), so the kernels work up to
+n = 33; ``exact.DEFAULT_BRUTE_CAP`` is 20 and the tests go to 24.
 """
 from __future__ import annotations
 
@@ -76,12 +89,12 @@ def reverse_bits(x: int, nbits: int) -> int:
 
 def _tables(n):
     """The closed and weight tables of the empty node set, preallocated
-    for all 2^n masks, and the masks below 2^(n-1) the doubling tests."""
+    for all 2^n masks."""
     total = 1 << n
     closed = np.empty(total, dtype=np.bool_)
     weight = np.empty(total, dtype=np.int64)
     closed[0], weight[0] = True, 0
-    return closed, weight, np.arange(total >> 1, dtype=np.int64)
+    return closed, weight
 
 
 def _double(closed, weight, h, w):
@@ -90,27 +103,41 @@ def _double(closed, weight, h, w):
     np.add(weight[:h], w, out=weight[h : 2 * h])
 
 
+def _cube(half, i, ones=0, zeros=0):
+    """The view of ``half`` (2^i entries, one per mask over nodes below
+    i) holding the masks with every bit of ``ones`` set and every bit of
+    ``zeros`` clear.  Node k is axis i - 1 - k of the (2,)*i reshape."""
+    idx = [slice(None)] * i
+    for k in range(i):
+        if (ones >> k) & 1:
+            idx[i - 1 - k] = 1
+        elif (zeros >> k) & 1:
+            idx[i - 1 - k] = 0
+    # The Ellipsis keeps a view even when every axis is fixed.
+    return half.reshape((2,) * i)[tuple(idx) + (Ellipsis,)]
+
+
 def closed_subsets(out_masks, weights):
     n = out_masks.shape[0]
-    closed, weight, low = _tables(n)
+    closed, weight = _tables(n)
     for i in range(n):
         h = 1 << i
-        lo = low[:h]
         _double(closed, weight, h, weights[i])
         # Arcs i -> v and u -> i with v, u < i: a selected i needs every
         # such v, an unselected i forbids every such u.
         up = int(out_masks[i]) & (h - 1)
-        if up:
-            closed[h : 2 * h] &= (lo & up) == up
-        down = sum(1 << u for u in range(i) if (int(out_masks[u]) >> i) & 1)
-        if down:
-            closed[:h] &= (lo & down) == 0
+        for v in range(i):
+            if (up >> v) & 1:
+                _cube(closed[h : 2 * h], i, zeros=1 << v)[...] = False
+        for u in range(i):
+            if (int(out_masks[u]) >> i) & 1:
+                _cube(closed[:h], i, ones=1 << u)[...] = False
     return closed, weight
 
 
 def weak_closed_subsets(in_masks, weights):
     n = in_masks.shape[0]
-    closed, weight, low = _tables(n)
+    closed, weight = _tables(n)
     # The rule of node x binds at the highest node it names, x or an
     # in-neighbour of x.
     rules = [[] for _ in range(n)]
@@ -120,14 +147,12 @@ def weak_closed_subsets(in_masks, weights):
             rules[max(x, m.bit_length() - 1)].append((x, m))
     for i in range(n):
         h = 1 << i
-        lo = low[:h]
         _double(closed, weight, h, weights[i])
         for x, m in rules[i]:
             if x == i:  # x unselected with all in-neighbours selected
-                closed[:h] &= (lo & m) != m
+                _cube(closed[:h], i, ones=m)[...] = False
             else:  # i selected, the other in-neighbours of x too, x not
-                rest = m ^ h
-                closed[h : 2 * h] &= (lo & (rest | 1 << x)) != rest
+                _cube(closed[h : 2 * h], i, ones=m ^ h, zeros=1 << x)[...] = False
     return closed, weight
 
 
@@ -141,7 +166,6 @@ def weak_completions(in_masks):
     # of x turns on with its highest in-neighbour.
     step = np.empty(total, dtype=np.int64)
     step[0] = 0
-    low = np.arange(total >> 1, dtype=np.int64)
     rules = [[] for _ in range(n)]
     for x in range(n):
         m = int(in_masks[x])
@@ -152,8 +176,7 @@ def weak_completions(in_masks):
         hi = step[h : 2 * h]
         np.bitwise_or(step[:h], h, out=hi)
         for x, m in rules[i]:
-            rest = m ^ h
-            np.bitwise_or(hi, 1 << x, out=hi, where=(low[:h] & rest) == rest)
+            _cube(hi, i, ones=m ^ h)[...] |= 1 << x
     # Pointer doubling: F^(2^k) after k rounds.  F grows every mask and is
     # monotone, so its iterates of S stay below the least fixpoint above
     # S; a table T with T[T] = T holds fixpoints, so it is the completion.

@@ -2,8 +2,12 @@
 
 - ``brute_force``: subset enumeration over bitmasks, the ground-truth
   oracle for every other solver.  The closure and weight tables of all
-  2^n masks come from ``_kernels`` (O(2^n) memory; see there for time),
-  fed the neighbour masks of ``graph.neighbour_masks`` as int64 arrays.
+  2^n masks come from ``_kernels`` (9 bytes per mask; see there for
+  time), fed the neighbour masks of ``graph.neighbour_masks`` as int64
+  arrays.  Measured tracemalloc peaks at n = 20 (a random DAG, arc
+  probability 0.12): 10.5 MB for ssg and maximal-ssg, 11.0 MB for ssgw,
+  35 MB for maximal-ssgw, whose completion table and its gathers add
+  8 bytes per mask each.
   For the maximal kinds only the feasible masks are then tested, once per
   component or node: the strong kinds look for a sink component of the
   unselected part that fits, the weak kinds read the weight of the

@@ -15,6 +15,11 @@ Solution files::
     select <label>         (sorted by label)
     feasible true closure=true budget=true maximality=na
 
+A solution names ``weight``, ``size`` and ``feasible`` at most once each.
+The flags of the ``feasible`` line are optional, each at most once:
+``closure`` and ``budget`` take true/false (default true), ``maximality``
+takes true/false/na (default na).
+
 Edge-list files for undirected gadget sources::
 
     edge <u> <v>
@@ -182,8 +187,13 @@ def parse_solution(text: str) -> tuple[list[str], int, Optional[SolutionFlags]]:
     size: Optional[int] = None
     selected: list[str] = []
     flags: Optional[SolutionFlags] = None
+    seen: set[str] = set()
     for lineno, parts in _lines(text):
         key = parts[0]
+        if key in seen:
+            raise ParseError(f"duplicate {key} line", lineno)
+        if key != "select":
+            seen.add(key)
         if key == "weight":
             weight = _nonneg_int(parts[1], lineno) if len(parts) == 2 else None
             if weight is None:
@@ -209,6 +219,14 @@ def parse_solution(text: str) -> tuple[list[str], int, Optional[SolutionFlags]]:
     return selected, weight, flags
 
 
+# The values each key of a ``feasible`` line may take.
+_FLAG_VALUES = {
+    "closure": ("true", "false"),
+    "budget": ("true", "false"),
+    "maximality": ("true", "false", "na"),
+}
+
+
 def _parse_flags(parts: list[str], lineno: int) -> SolutionFlags:
     if len(parts) < 2 or parts[1] not in ("true", "false"):
         raise ParseError("expected: feasible <true|false> ...", lineno)
@@ -217,18 +235,19 @@ def _parse_flags(parts: list[str], lineno: int) -> SolutionFlags:
         if "=" not in token:
             raise ParseError(f"bad flag token {token!r}", lineno)
         k, v = token.split("=", 1)
+        if k not in _FLAG_VALUES:
+            raise ParseError(f"unknown flag {k!r}", lineno)
+        if k in kv:
+            raise ParseError(f"duplicate flag {k!r}", lineno)
+        if v not in _FLAG_VALUES[k]:
+            raise ParseError(f"bad flag value {token!r}", lineno)
         kv[k] = v
-    def _tri(v: Optional[str]):
-        if v in (None, "na"):
-            return None
-        if v in ("true", "false"):
-            return v == "true"
-        raise ParseError(f"bad flag value {v!r}", lineno)
+    maximality = kv.get("maximality", "na")
     return SolutionFlags(
         feasible=parts[1] == "true",
         closure=kv.get("closure", "true") == "true",
         budget=kv.get("budget", "true") == "true",
-        maximality=_tri(kv.get("maximality")),
+        maximality=None if maximality == "na" else maximality == "true",
     )
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import dss
 from dss import Digraph, ProblemKind, WeightedInstance
 
 # Worked 8-node oriented tree used throughout: nodes v1..v8 as ids 0..7.
@@ -44,6 +46,16 @@ def fig_b_instance() -> WeightedInstance:
     return WeightedInstance(
         Digraph(8, FIG_B_ARCS), FIG_B_WEIGHTS, 4, ProblemKind.MAXIMAL_SSG
     )
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a ``python -m dss.cli`` subprocess: the source
+    root of the imported ``dss`` first on an absolute PYTHONPATH, so the
+    child runs the same package from any working directory."""
+    src = str(Path(dss.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def make_instance(g: Digraph, weights, budget, kind=ProblemKind.SSG):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import oracles
-from conftest import FIG_A_ARCS, FIG_B_ARCS, FIG_B_WEIGHTS
+from conftest import FIG_A_ARCS, FIG_B_ARCS, FIG_B_WEIGHTS, cli_env
 from test_gadgets import (
     REGULAR_CORPUS,
     _closed_exact,
@@ -308,6 +308,7 @@ def _run_cli(args, cwd):
         [sys.executable, "-m", "dss.cli", *args],
         capture_output=True,
         cwd=cwd,
+        env=cli_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -338,11 +339,13 @@ def test_criterion_8_byte_identical_outputs(report, tmp_path):
         ["generate", "independent-set", "--edges", str(edges)],
         ["generate", "subset-sum", "--values", "3,5,7", "--budget", "8"],
     ]
-    mismatches = 0
+    # Two identical failures would match too, so every run must exit 0.
+    mismatches = failures = 0
     for args in commands:
         runs = [_run_cli(args, tmp_path) for _ in range(2)]
         if runs[0] != runs[1]:
             mismatches += 1
+        failures += sum(code != 0 for code, _, _ in runs)
     bench = [
         "bench",
         "--classes",
@@ -359,10 +362,11 @@ def test_criterion_8_byte_identical_outputs(report, tmp_path):
         code, out, err = _run_cli(bench, tmp_path)
         # elapsed-ms is the one timing column; everything else must match.
         runs.append((code, _strip_elapsed(out), err))
+        failures += code != 0
     if runs[0] != runs[1]:
         mismatches += 1
     report(
         "8 (repeated runs produce byte-identical outputs)",
-        mismatches == 0,
-        f"mismatches={mismatches}",
+        mismatches == 0 and failures == 0,
+        f"mismatches={mismatches}, failed runs={failures}",
     )

@@ -72,6 +72,21 @@ class TestBruteForce:
         expected = frozenset(range(20)) if kind.is_maximal else frozenset()
         assert brute_force(inst) == Solution(expected, 0)
 
+    @pytest.mark.parametrize("kind", [ProblemKind.SSG, ProblemKind.SSGW], ids=lambda k: k.value)
+    def test_peak_memory_at_cap(self, kind):
+        """A bool and an int64 per mask: at n = 20 the closure and weight
+        tables take 9.4 MB, with no index array or int64 temporaries
+        beside them."""
+        inst = random_instance(GraphClass.DAG, 20, seed=3, arc_prob=0.12, kind=kind)
+        tracemalloc.start()
+        try:
+            sol = brute_force(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol is not None and verify_solution(inst, sol).feasible
+        assert peak < 13e6
+
     def test_cap(self):
         g = Digraph(21, [])
         inst = make_instance(g, [1] * 21, 5, ProblemKind.SSG)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG_B_ARCS, FIG_B_WEIGHTS, deep_path_instance
+from conftest import FIG_B_ARCS, FIG_B_WEIGHTS, cli_env, deep_path_instance
 
 from dss import (
     Digraph,
@@ -180,6 +180,36 @@ class TestSolutionFormat:
         with pytest.raises(ParseError):
             parse_solution("weight 1\nsize 2\nselect a\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("weight 3\nweight 1\n", "line 2: duplicate weight line"),
+            ("weight 0\nsize 0\nsize 0\n", "line 3: duplicate size line"),
+            (
+                "weight 0\nfeasible true\nfeasible false\n",
+                "line 3: duplicate feasible line",
+            ),
+            ("weight 0\nfeasible true clsoure=false\n", "line 2: unknown flag 'clsoure'"),
+            (
+                "weight 0\nfeasible true budget=true budget=false\n",
+                "line 2: duplicate flag 'budget'",
+            ),
+            ("weight 0\nfeasible true closure=maybe\n", "line 2: bad flag value 'closure=maybe'"),
+            ("weight 0\nfeasible true budget=na\n", "line 2: bad flag value 'budget=na'"),
+            ("weight 0\nfeasible true maximality=yes\n", "line 2: bad flag value 'maximality=yes'"),
+        ],
+    )
+    def test_rejects_repeats_and_bad_flags(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_solution(text)
+        assert str(exc.value) == message
+
+    def test_flag_defaults(self):
+        _, _, flags = parse_solution("weight 0\nfeasible false\n")
+        assert flags == SolutionFlags(False, True, True, None)
+        _, _, flags = parse_solution("weight 0\nfeasible true maximality=na closure=false\n")
+        assert flags == SolutionFlags(True, False, True, None)
+
 
 class TestEdgeList:
     def test_parse(self):
@@ -347,6 +377,14 @@ class TestCliCheck:
         sol.write_text("weight 1\nsize 1\nselect a\n")
         assert main(["check", str(inst), str(sol)]) == 1
         assert "closure violated witness=arc a -> b" in capsys.readouterr().out
+
+    def test_repeated_weight_is_parse_error(self, tmp_path, capsys):
+        inst = tmp_path / "i.txt"
+        inst.write_text("problem ssg\nbudget 3\nnode a 1\n")
+        sol = tmp_path / "s.txt"
+        sol.write_text("weight 3\nweight 1\nsize 1\nselect a\n")
+        assert main(["check", str(inst), str(sol)]) == 3
+        assert "line 2: duplicate weight line" in capsys.readouterr().err
 
     def test_unknown_label_is_parse_error(self, tmp_path, capsys):
         inst = tmp_path / "i.txt"
@@ -526,6 +564,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "dss.cli", "solve", str(inst)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "weight 3" in proc.stdout
