@@ -18,7 +18,7 @@ import csv
 import io
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import approx, exact, formats, gadgets
 from .constraints import evaluate
@@ -29,8 +29,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_STRUCTURE = 2
 EXIT_PARSE = 3
-
-ALGORITHMS = ("auto", "brute", "tree-dp", "tournament", "eulerian", "ptas")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -221,7 +219,7 @@ def _write_out(text: str, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _solve_tree_dp(inst: WeightedInstance) -> Solution:
+def _tree_dp(inst: WeightedInstance, k: int) -> Solution:
     if inst.kind is ProblemKind.SSG:
         return exact.solve_ssg_tree(inst)
     if inst.kind is ProblemKind.MAXIMAL_SSG:
@@ -231,7 +229,7 @@ def _solve_tree_dp(inst: WeightedInstance) -> Solution:
     raise exact.SolverError(f"no tree DP for kind {inst.kind.value}")
 
 
-def _solve_ptas(inst: WeightedInstance, k: int) -> Solution:
+def _ptas(inst: WeightedInstance, k: int) -> Solution:
     if inst.kind is ProblemKind.SSG:
         return approx.ptas_ssg(inst, k).solution
     if inst.kind is ProblemKind.MAXIMAL_SSG:
@@ -241,40 +239,42 @@ def _solve_ptas(inst: WeightedInstance, k: int) -> Solution:
     )
 
 
+# ``--algorithm`` name -> run(inst, k).  A row that does not apply raises
+# ``SolverError``.  ``auto`` tries the rows after brute, in order, then
+# brute force, which covers every kind.
+SOLVERS: dict[str, Callable[[WeightedInstance, int], Solution]] = {
+    "brute": lambda inst, k: exact.brute_force(inst),
+    "tree-dp": _tree_dp,
+    "tournament": lambda inst, k: exact.solve_tournament(inst),
+    "eulerian": lambda inst, k: exact.solve_balanced_degree_two(inst),
+    "ptas": _ptas,
+}
+
+ALGORITHMS = ("auto", *SOLVERS)
+
+
 def _solve_auto(inst: WeightedInstance, k: int) -> Solution:
-    """The first solver that applies; brute force covers every kind and
-    either answers or raises ``CapExceeded``."""
-    for attempt in (
-        _solve_tree_dp,
-        lambda i: exact.solve_tournament(i),
-        lambda i: exact.solve_balanced_degree_two(i),
-        lambda i: _solve_ptas(i, k),
-    ):
+    brute, *rows = SOLVERS.values()
+    for run in rows:
         try:
-            return attempt(inst)
+            return run(inst, k)
         except exact.CapExceeded:
+            # Past a tree DP's cap the next row that applies is the PTAS,
+            # which has no work cap: on a 10^4-node tree with k = 2 it
+            # would enumerate up to 5 * 10^7 seed pairs with no output.
+            # So the refusal ends ``auto`` with exit 2 instead.
             raise
         except exact.SolverError:
             continue
-    return exact.brute_force(inst)
+    return brute(inst, k)
 
 
 def cmd_solve(args) -> int:
     inst, labels = formats.parse_instance(_read(args.instance))
     if args.k < 0:
         raise exact.SolverError("k must be nonnegative")
-    if args.algorithm == "auto":
-        sol = _solve_auto(inst, args.k)
-    elif args.algorithm == "brute":
-        sol = exact.brute_force(inst)
-    elif args.algorithm == "tree-dp":
-        sol = _solve_tree_dp(inst)
-    elif args.algorithm == "tournament":
-        sol = exact.solve_tournament(inst)
-    elif args.algorithm == "eulerian":
-        sol = exact.solve_balanced_degree_two(inst)
-    else:
-        sol = _solve_ptas(inst, args.k)
+    run = _solve_auto if args.algorithm == "auto" else SOLVERS[args.algorithm]
+    sol = run(inst, args.k)
     report = evaluate(inst, sol.selected)
     flags = formats.SolutionFlags(
         feasible=report.feasible,
@@ -453,7 +453,7 @@ def cmd_bench(args) -> int:
     if any(k < 0 for k in k_list):
         raise exact.SolverError("k must be nonnegative")
     rows = []
-    worst: dict[tuple[str, int], float] = {}
+    worst: dict[int, float] = {}
     for cls in classes:
         for n in sizes:
             for seed in seeds:
@@ -465,7 +465,7 @@ def cmd_bench(args) -> int:
                         optimal = exact.brute_force(inst).weight
                     for k in k_list:
                         start = time.perf_counter()
-                        sol = _solve_ptas(inst, k)
+                        sol = SOLVERS["ptas"](inst, k)
                         elapsed_ms = (time.perf_counter() - start) * 1000.0
                         ratio = ""
                         if optimal is not None:
@@ -476,11 +476,10 @@ def cmd_bench(args) -> int:
                             else:
                                 r = sol.weight / optimal
                             ratio = f"{r:.6f}"
-                            key = ("ptas", k)
                             badness = max(r, 1.0 / r) if r > 0 else float("inf")
-                            prev = worst.get(key)
+                            prev = worst.get(k)
                             if prev is None or badness > max(prev, 1.0 / prev):
-                                worst[key] = r
+                                worst[k] = r
                         rows.append(
                             {
                                 "instance-id": iid,
@@ -495,14 +494,14 @@ def cmd_bench(args) -> int:
                                 "elapsed-ms": f"{elapsed_ms:.3f}",
                             }
                         )
-    for (algorithm, k), r in sorted(worst.items()):
+    for k, r in sorted(worst.items()):
         rows.append(
             {
-                "instance-id": f"summary-{algorithm}-k{k}",
+                "instance-id": f"summary-ptas-k{k}",
                 "class": "",
                 "n": "",
                 "kind": "",
-                "algorithm": algorithm,
+                "algorithm": "ptas",
                 "k": k,
                 "achieved-weight": "",
                 "optimal-weight": "",

@@ -34,7 +34,18 @@
   vector lengths) bits, times the number of levels for the maximal kind.
   The tree DPs refuse min(B, total weight) > ``DEFAULT_BUDGET_CAP``.
 - ``solve_tournament`` and ``solve_balanced_degree_two``: the two
-  polynomial special cases.
+  polynomial special cases.  The closed sets of a tournament are the
+  empty set and the suffixes of the Hamiltonian path of its
+  condensation, so both strong kinds take the longest suffix that fits;
+  ``ssg`` answers the empty set instead when that suffix weighs 0.
+  A connected digraph with every in- and out-degree 2 is strongly
+  connected, so it condenses to a one-node tournament.  ``dss solve``
+  (``auto``) tries the rows of ``cli.SOLVERS`` in the order tree-dp,
+  tournament, eulerian, ptas, then brute force, so it answers such a
+  graph by the tournament rule, and ``solve_balanced_degree_two`` answers
+  only when asked for by name.  The two differ only on a zero total: on
+  a 7-node all-zero instance ``--algorithm eulerian`` selects all 7
+  nodes, while auto, tournament and brute select none.
 """
 from __future__ import annotations
 
@@ -543,22 +554,14 @@ def solve_ssgw_rooted_tree(inst: WeightedInstance) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _hamiltonian_path(g: Digraph) -> list[int]:
-    """Unique Hamiltonian path of an acyclic tournament."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.out_adj[v]), v))
-    arcset = set(g.arcs)
-    for a, b in zip(order, order[1:]):
-        if (a, b) not in arcset:
-            raise SolverError("tournament is not acyclic")
-    return order
-
-
 def solve_tournament(inst: WeightedInstance) -> Solution:
-    """Suffix scan along the Hamiltonian path of the (condensed) tournament.
+    """The longest fitting suffix of the (condensed) tournament's
+    Hamiltonian path.
 
-    Feasible closed sets are exactly the empty set and the suffixes of
-    the path, so both the maximization and the maximal-minimization
-    reduce to picking the right suffix.
+    The closed sets are exactly the empty set and the suffixes of the
+    path, so that suffix is both the heaviest feasible set and the only
+    maximal one; ``ssg`` answers the empty set instead when the suffix
+    weighs 0.
     """
     if inst.kind not in (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG):
         raise SolverError("tournament solver handles the strong kinds only")
@@ -566,36 +569,26 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
     if is_tournament(g) and is_dag(g):
         cond = None
         h = g
-        weights = list(inst.weights)
+        weights = inst.weights
     else:
         cond = condense(g, inst.weights)
         if not is_tournament(cond.dag):
             raise SolverError("input is not a tournament (nor condenses to one)")
         h = cond.dag
-        weights = list(cond.component_weight)
-    path = _hamiltonian_path(h)
-    suffix_weight = [0] * (h.n + 1)
-    for k in range(h.n - 1, -1, -1):
-        suffix_weight[k] = suffix_weight[k + 1] + weights[path[k]]
-    if inst.kind is ProblemKind.SSG:
-        best_k = h.n  # empty suffix
-        for k in range(h.n + 1):
-            if suffix_weight[k] <= inst.budget:
-                if suffix_weight[k] > suffix_weight[best_k]:
-                    best_k = k
-    else:
-        # Longest fitting suffix is the unique maximal solution.
-        best_k = h.n
-        for k in range(h.n + 1):
-            if suffix_weight[k] <= inst.budget:
-                best_k = k
-                break
-    chosen_comps = path[best_k:]
-    if cond is None:
-        nodes = set(chosen_comps)
-    else:
-        nodes = {v for c in chosen_comps for v in cond.members[c]}
-    return Solution(frozenset(nodes), suffix_weight[best_k])
+        weights = cond.component_weight
+    # An acyclic tournament is transitive, so its path runs by decreasing
+    # out-degree: walk it up from the sink while the budget holds.
+    chosen, total = [], 0
+    for c in sorted(range(h.n), key=lambda v: len(h.out_adj[v])):
+        if total + weights[c] > inst.budget:
+            break
+        chosen.append(c)
+        total += weights[c]
+    if inst.kind is ProblemKind.SSG and total == 0:
+        chosen = []
+    if cond is not None:
+        chosen = [v for c in chosen for v in cond.members[c]]
+    return Solution(frozenset(chosen), total)
 
 
 def solve_balanced_degree_two(inst: WeightedInstance) -> Solution:

@@ -5,20 +5,23 @@ Everything here is written against the problem definitions directly
 deliberately shares no code with the library under test, except
 ``brute_force_oracle``: it runs the checker's own predicates on every set,
 so that the vectorised brute force and the checker are held to one
-definition of closure and maximality.
+definition of closure and maximality; and ``tournament_oracle``, an
+earlier ``solve_tournament`` kept verbatim on the library's graph
+predicates and condensation, so that its witnesses pin the current ones.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Optional
 
-from dss import Digraph, GraphError, Solution, WeightedInstance
+from dss import Digraph, GraphError, ProblemKind, Solution, SolverError, WeightedInstance
 from dss.constraints import (
     _maximality_strong,
     _maximality_weak,
     check_digraph_closure,
     check_weak_closure,
 )
+from dss.graph import condense, is_dag, is_tournament
 
 
 def reference_digraph(n: int, arcs) -> Digraph:
@@ -170,6 +173,61 @@ def brute_force_oracle(inst: WeightedInstance) -> Optional[Solution]:
     if best is None:
         return None
     return Solution(frozenset(best[1]), inst.weight_of(best[1]))
+
+
+def _hamiltonian_path(g: Digraph) -> list[int]:
+    """Unique Hamiltonian path of an acyclic tournament."""
+    order = sorted(range(g.n), key=lambda v: (-len(g.out_adj[v]), v))
+    arcset = set(g.arcs)
+    for a, b in zip(order, order[1:]):
+        if (a, b) not in arcset:
+            raise SolverError("tournament is not acyclic")
+    return order
+
+
+def tournament_oracle(inst: WeightedInstance) -> Solution:
+    """Suffix scan along the Hamiltonian path of the (condensed) tournament.
+
+    Feasible closed sets are exactly the empty set and the suffixes of
+    the path, so both the maximization and the maximal-minimization
+    reduce to picking the right suffix.
+    """
+    if inst.kind not in (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG):
+        raise SolverError("tournament solver handles the strong kinds only")
+    g = inst.graph
+    if is_tournament(g) and is_dag(g):
+        cond = None
+        h = g
+        weights = list(inst.weights)
+    else:
+        cond = condense(g, inst.weights)
+        if not is_tournament(cond.dag):
+            raise SolverError("input is not a tournament (nor condenses to one)")
+        h = cond.dag
+        weights = list(cond.component_weight)
+    path = _hamiltonian_path(h)
+    suffix_weight = [0] * (h.n + 1)
+    for k in range(h.n - 1, -1, -1):
+        suffix_weight[k] = suffix_weight[k + 1] + weights[path[k]]
+    if inst.kind is ProblemKind.SSG:
+        best_k = h.n  # empty suffix
+        for k in range(h.n + 1):
+            if suffix_weight[k] <= inst.budget:
+                if suffix_weight[k] > suffix_weight[best_k]:
+                    best_k = k
+    else:
+        # Longest fitting suffix is the unique maximal solution.
+        best_k = h.n
+        for k in range(h.n + 1):
+            if suffix_weight[k] <= inst.budget:
+                best_k = k
+                break
+    chosen_comps = path[best_k:]
+    if cond is None:
+        nodes = set(chosen_comps)
+    else:
+        nodes = {v for c in chosen_comps for v in cond.members[c]}
+    return Solution(frozenset(nodes), suffix_weight[best_k])
 
 
 def subset_sums(values, cap: int) -> set[int]:

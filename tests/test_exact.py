@@ -514,6 +514,73 @@ class TestTournament:
             assert solve_tournament(inst).weight == brute_force(inst).weight
 
 
+def _random_tournament_case(rng: random.Random) -> WeightedInstance:
+    """A tournament on up to 40 nodes, sometimes with one arc dropped (a
+    non-tournament, unless the pair lies in one strong component), under
+    any of the four kinds.  Nodes are ranked in blocks: arcs run down the
+    ranks between blocks and either way inside one, so blocks of one node
+    give an acyclic tournament and larger ones cyclic components."""
+    n = rng.randint(0, 40)
+    rank = rng.sample(range(n), n)
+    block = rng.choice([1, 1, 2, 3, 5, 8, max(n, 1)])
+
+    def forward(u: int, v: int) -> bool:
+        if block > 1 and rank[u] // block == rank[v] // block:
+            return rng.random() < 0.5
+        return rank[u] < rank[v]
+
+    arcs = [(u, v) if forward(u, v) else (v, u) for u in range(n) for v in range(u + 1, n)]
+    if arcs and rng.random() < 0.2:
+        arcs.pop(rng.randrange(len(arcs)))
+    weight_max = rng.choice([0, 1, 3, 10, 1000])
+    weights = [rng.randint(0, weight_max) for _ in range(n)]
+    budget = rng.randint(0, sum(weights) + 1)
+    kind = rng.choice([ProblemKind.SSG, ProblemKind.MAXIMAL_SSG] * 4 + list(ProblemKind))
+    return make_instance(Digraph(n, arcs), weights, budget, kind)
+
+
+def _outcome(solve, inst):
+    try:
+        return solve(inst)
+    except SolverError as exc:
+        return str(exc)
+
+
+class TestTournamentOracle:
+    """``solve_tournament`` against the two-scan suffix rule it replaced."""
+
+    def test_random_cases(self):
+        rng = random.Random(2016)
+        for _ in range(1200):
+            inst = _random_tournament_case(rng)
+            assert _outcome(solve_tournament, inst) == _outcome(oracles.tournament_oracle, inst)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_zero_budget_zero_weights(self, cyclic):
+        arcs = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)]
+        if cyclic:
+            arcs[2] = (2, 0)
+        g = Digraph(4, arcs)
+        ssg = make_instance(g, [0] * 4, 0)
+        maximal = make_instance(g, [0] * 4, 0, ProblemKind.MAXIMAL_SSG)
+        assert solve_tournament(ssg) == Solution(frozenset(), 0) == oracles.tournament_oracle(ssg)
+        every = Solution(frozenset(range(4)), 0)
+        assert solve_tournament(maximal) == every == oracles.tournament_oracle(maximal)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    @pytest.mark.parametrize("kind", [ProblemKind.SSG, ProblemKind.MAXIMAL_SSG])
+    def test_zero_weight_top_component(self, kind, budget):
+        # The 3-cycle {0, 1, 2} weighs 0 and beats node 3 of weight 2.
+        g = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+        inst = make_instance(g, [0, 0, 0, 2], budget, kind)
+        sol = solve_tournament(inst)
+        assert sol == oracles.tournament_oracle(inst)
+        if budget >= 2:
+            assert sol == Solution(frozenset(range(4)), 2)
+        else:
+            assert sol == Solution(frozenset(), 0)
+
+
 class TestBalancedDegreeTwo:
     def _instance(self, n, weights, budget, kind=ProblemKind.SSG):
         arcs = [(i, (i + 1) % n) for i in range(n)] + [

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from dss import (
     parse_solution,
     random_instance,
 )
-from dss.cli import main
+from dss.cli import ALGORITHMS, main
 
 FIG_B_TEXT = """\
 # second worked tree, maximal minimization
@@ -554,6 +556,56 @@ class TestCliArgumentFuzz:
     @given(_options(_RANDOM_VALUES))
     def test_generate_random(self, options):
         assert self._exit_code(["generate", "random", "--n=3", *options]) in (0, 1, 2, 3)
+
+
+@st.composite
+def _instance_texts(draw):
+    """Instance files the parser accepts: 0-8 nodes, any kind, weights
+    0-5, arcs drawn at random (cycles allowed), as a random tournament, or
+    as the circulant i -> i+1, i+2 (every in- and out-degree 2)."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    shape = draw(st.sampled_from(["arcs", "tournament", "circulant"]))
+    if shape == "tournament":
+        arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in pairs if u < v]
+    elif shape == "circulant" and n >= 3:
+        arcs = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+    else:
+        arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    budget = draw(st.integers(0, sum(weights) + 2))
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    inst = WeightedInstance(Digraph(n, arcs), tuple(weights), budget, kind)
+    return emit_instance(inst, [f"v{i}" for i in range(n)])
+
+
+class TestCliSolveFuzz:
+    """Every ``--algorithm`` on small parser-accepted instances exits 0
+    with a feasible answer or 2 with a message; the exact rows weigh what
+    brute force weighs."""
+
+    EXACT = ("brute", "tree-dp", "tournament", "eulerian")
+
+    @settings(max_examples=120, deadline=None)
+    @given(_instance_texts())
+    def test_every_row(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "i.txt"
+        path.write_text(text)
+        weights = {}
+        for algorithm in ALGORITHMS:
+            for k in range(3):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["solve", str(path), "--algorithm", algorithm, "--k", str(k)])
+                assert code in (0, 2), err.getvalue()
+                if code == 0:
+                    assert out.getvalue().splitlines()[-1].startswith("feasible true ")
+                    if algorithm in self.EXACT:
+                        weights[algorithm] = parse_solution(out.getvalue())[1]
+                else:
+                    assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        assert "brute" in weights
+        assert set(weights.values()) == {weights["brute"]}
 
 
 class TestConsoleScript:
