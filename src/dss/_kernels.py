@@ -35,9 +35,12 @@ OR-ed in for a completion.  The strong rule "every out-neighbour
 selected" fails where some single one is not, so it is one write per
 arc, 2^(t-1) entries at its higher node t; a weak rule fixes all of its
 k bits at once, 2^(t-k) entries.  No mask index array and no per-rule
-temporary is built, so the closure tables hold a bool and an int64 (the
-weight) per mask, 9 bytes, and the completions an int64, 8 bytes, with
-one more such table alive during the pointer doubling, which adds
+temporary is built, so the closure tables hold a bool and a weight per
+mask, 1 + w bytes, where the weight table takes the dtype of
+``weights``: ``weight_dtype`` picks the narrowest of int16, int32 and
+int64 that holds the total weight, so w is 2 for totals below 2^15.  The
+completions take an int32 per mask up to n = 31 (int64 above), 4 bytes,
+with one more such table alive during the pointer doubling, which adds
 ceil(log2 n) + 1 gathers of 2^n at most.  A view has one axis per node,
 and numpy 1.x allows 32 axes (2.x 64), so the kernels work up to
 n = 33; ``exact.DEFAULT_BRUTE_CAP`` is 20 and the tests go to 24.
@@ -87,12 +90,21 @@ def reverse_bits(x: int, nbits: int) -> int:
     return int.from_bytes(data, "big") >> (8 * nbytes - nbits)
 
 
-def _tables(n):
+def weight_dtype(total: int):
+    """The narrowest of int16, int32 and int64 that holds ``total``, the
+    sum of nonnegative weights: a weight table in it cannot overflow."""
+    for dtype in (np.int16, np.int32):
+        if total <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _tables(n, dtype):
     """The closed and weight tables of the empty node set, preallocated
     for all 2^n masks."""
     total = 1 << n
     closed = np.empty(total, dtype=np.bool_)
-    weight = np.empty(total, dtype=np.int64)
+    weight = np.empty(total, dtype=dtype)
     closed[0], weight[0] = True, 0
     return closed, weight
 
@@ -119,7 +131,7 @@ def _cube(half, i, ones=0, zeros=0):
 
 def closed_subsets(out_masks, weights):
     n = out_masks.shape[0]
-    closed, weight = _tables(n)
+    closed, weight = _tables(n, weights.dtype)
     for i in range(n):
         h = 1 << i
         _double(closed, weight, h, weights[i])
@@ -137,7 +149,7 @@ def closed_subsets(out_masks, weights):
 
 def weak_closed_subsets(in_masks, weights):
     n = in_masks.shape[0]
-    closed, weight = _tables(n)
+    closed, weight = _tables(n, weights.dtype)
     # The rule of node x binds at the highest node it names, x or an
     # in-neighbour of x.
     rules = [[] for _ in range(n)]
@@ -164,7 +176,7 @@ def weak_completions(in_masks):
     total = 1 << n
     # One forcing step F(S) = S | {x : in[x] <= S}, by doubling: the term
     # of x turns on with its highest in-neighbour.
-    step = np.empty(total, dtype=np.int64)
+    step = np.empty(total, dtype=np.int32 if n <= 31 else np.int64)
     step[0] = 0
     rules = [[] for _ in range(n)]
     for x in range(n):

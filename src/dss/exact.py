@@ -2,15 +2,21 @@
 
 - ``brute_force``: subset enumeration over bitmasks, the ground-truth
   oracle for every other solver.  The closure and weight tables of all
-  2^n masks come from ``_kernels`` (9 bytes per mask; see there for
-  time), fed the neighbour masks of ``graph.neighbour_masks`` as int64
-  arrays.  Measured tracemalloc peaks at n = 20 (a random DAG, arc
-  probability 0.12): 10.5 MB for ssg and maximal-ssg, 11.0 MB for ssgw,
-  35 MB for maximal-ssgw, whose completion table and its gathers add
-  8 bytes per mask each.
-  For the maximal kinds only the feasible masks are then tested, once per
-  component or node: the strong kinds look for a sink component of the
-  unselected part that fits, the weak kinds read the weight of the
+  2^n masks come from ``_kernels`` (1 + w bytes per mask, w = 2, 4 or 8
+  as the total weight needs; see there for time), fed the neighbour
+  masks of ``graph.neighbour_masks`` as int64 arrays.  The budget is cut
+  to the total weight before it meets the tables, and the budget and tie
+  tests narrow the boolean table in place, 2^16 masks at a time, so no
+  temporary as large as a table is built.  The maximizing kinds read the
+  best weight off the boolean table, so only the ties become an index
+  array.  Measured tracemalloc peaks at n = 20 (a random DAG, arc
+  probability 0.12, total weight below 2^15): 3.2-3.3 MB for ssg, ssgw
+  and maximal-ssg, the 3.1 MB of tables and little else; 16.3 MB for
+  maximal-ssgw, whose int32 completion table and its pointer-doubling
+  copy add 4 bytes per mask each.
+  For the maximal kinds the feasible masks are then listed and tested,
+  once per component or node: the strong kinds look for a sink component
+  of the unselected part that fits, the weak kinds read the weight of the
   completion of each mask plus one node from a table of all completions.
   Ties go to the lexicographically smallest node tuple, chosen with numpy.
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
@@ -93,7 +99,7 @@ class CapExceeded(SolverError):
 
 
 def _extendable_strong(
-    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray
+    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, budget: int
 ) -> np.ndarray:
     """Per closed candidate mask: whether some sink component of the
     unselected part fits the budget left (``_maximality_strong``).  A
@@ -101,7 +107,7 @@ def _extendable_strong(
     all."""
     cond = condense(inst.graph, inst.weights)
     comp = [sum(1 << v for v in members) for members in cond.members]
-    slack = inst.budget - weight[cand]
+    slack = budget - weight[cand]
     out = np.zeros(cand.size, dtype=np.bool_)
     for c, mask in enumerate(comp):
         succ = 0
@@ -116,7 +122,7 @@ def _extendable_strong(
 
 
 def _extendable_weak(
-    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, in_masks: np.ndarray
+    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, budget: int, in_masks: np.ndarray
 ) -> np.ndarray:
     """Per weak-closed candidate mask: whether the completion of the mask
     plus some unselected node fits the budget (``_maximality_weak``)."""
@@ -124,8 +130,19 @@ def _extendable_weak(
     out = np.zeros(cand.size, dtype=np.bool_)
     for x in range(inst.graph.n):
         bit = 1 << x
-        out |= ((cand & bit) == 0) & (weight[completion[cand | bit]] <= inst.budget)
+        out |= ((cand & bit) == 0) & (weight[completion[cand | bit]] <= budget)
     return out
+
+
+_BLOCK = 1 << 16
+
+
+def _keep_where(closed: np.ndarray, weight: np.ndarray, test, value: int) -> None:
+    """``closed &= test(weight, value)``, ``_BLOCK`` masks at a time, so
+    that no temporary as large as a table sits beside the tables."""
+    for start in range(0, closed.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        closed[block] &= test(weight[block], value)
 
 
 def _lexicographic_first(pool: np.ndarray) -> int:
@@ -149,28 +166,37 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
     g = inst.graph
     if g.n > cap:
         raise CapExceeded(f"brute force refused: n={g.n} exceeds cap {cap}")
-    weights = np.asarray(inst.weights, dtype=np.int64)
+    total = inst.total_weight()
+    weights = np.asarray(inst.weights, dtype=_kernels.weight_dtype(total))
+    # No mask weighs more than the total, so the budget cut to it fits
+    # the weight dtype and admits the same masks.
+    budget = min(inst.budget, total)
     succ, pred = neighbour_masks(g)
     if inst.kind.is_weak:
         in_masks = np.array(pred, dtype=np.int64)
         closed, weight = _kernels.weak_closed_subsets(in_masks, weights)
     else:
         closed, weight = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
-    cand = np.flatnonzero(closed & (weight <= inst.budget))
-    del closed
+    _keep_where(closed, weight, np.less_equal, budget)
+    # The empty set is closed under both rules and fits any budget, so
+    # feasible sets exist, and none weighs less than the ``initial`` 0.
     if inst.kind.is_maximal:
+        cand = np.flatnonzero(closed)
+        del closed
         if inst.kind.is_weak:
-            cand = cand[~_extendable_weak(inst, cand, weight, in_masks)]
+            cand = cand[~_extendable_weak(inst, cand, weight, budget, in_masks)]
         else:
-            cand = cand[~_extendable_strong(inst, cand, weight)]
-        # The empty set is closed under both rules and fits any budget, so
-        # feasible sets exist; one that no feasible set strictly contains
-        # cannot be extended, so it is maximal.
+            cand = cand[~_extendable_strong(inst, cand, weight, budget)]
+        # A feasible set that no feasible set strictly contains cannot be
+        # extended, so it is maximal.
         assert cand.size, "a feasible set exists, so a maximal one does"
         best = int(weight[cand].min())
+        ties = cand[weight[cand] == best]
     else:
-        best = int(weight[cand].max())
-    chosen = _lexicographic_first(cand[weight[cand] == best])
+        best = int(weight.max(where=closed, initial=0))
+        _keep_where(closed, weight, np.equal, best)
+        ties = np.flatnonzero(closed)
+    chosen = _lexicographic_first(ties)
     return Solution(frozenset(mask_nodes(chosen)), best)
 
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,9 @@ from dss import (
     subset_sum_to_tree,
     verify_solution,
 )
+from dss import _kernels
 from dss.exact import _STRONG, _WEAK, _Bits, _Levels
+from dss.instance import MAX_INT
 from test_graph import digraphs
 
 
@@ -72,11 +75,8 @@ class TestBruteForce:
         expected = frozenset(range(20)) if kind.is_maximal else frozenset()
         assert brute_force(inst) == Solution(expected, 0)
 
-    @pytest.mark.parametrize("kind", [ProblemKind.SSG, ProblemKind.SSGW], ids=lambda k: k.value)
-    def test_peak_memory_at_cap(self, kind):
-        """A bool and an int64 per mask: at n = 20 the closure and weight
-        tables take 9.4 MB, with no index array or int64 temporaries
-        beside them."""
+    @staticmethod
+    def _peak_at_cap(kind):
         inst = random_instance(GraphClass.DAG, 20, seed=3, arc_prob=0.12, kind=kind)
         tracemalloc.start()
         try:
@@ -85,7 +85,23 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert sol is not None and verify_solution(inst, sol).feasible
-        assert peak < 13e6
+        return peak
+
+    @pytest.mark.parametrize(
+        "kind", [ProblemKind.SSG, ProblemKind.SSGW, ProblemKind.MAXIMAL_SSG], ids=lambda k: k.value
+    )
+    def test_peak_memory_at_cap(self, kind):
+        """A bool and an int16 per mask (the total weight is below 2^15):
+        at n = 20 the closure and weight tables take 3.1 MB, with no bool
+        temporary as large as a table and no int64 array over the
+        feasible masks beside them (3.2-3.3 MB measured)."""
+        assert self._peak_at_cap(kind) < 4e6
+
+    def test_peak_memory_at_cap_maximal_weak(self):
+        """The int32 completion table and its pointer-doubling copy come on
+        top, with per-node gathers over the feasible masks (16.3 MB
+        measured; an int64 completion table would pass 20 MB)."""
+        assert self._peak_at_cap(ProblemKind.MAXIMAL_SSGW) < 20e6
 
     def test_cap(self):
         g = Digraph(21, [])
@@ -99,13 +115,13 @@ class TestBruteForce:
         assert sol.selected == frozenset() and sol.weight == 0
 
 
-def _oracle_case(seed, dag):
-    """Seeded instance of 0..10 nodes: a DAG over shuffled ids, or a
+def _oracle_case(seed, dag, max_n=10):
+    """Seeded instance of 0..max_n nodes: a DAG over shuffled ids, or a
     digraph with a cycle through 2..n nodes so that it has a multi-node
     strongly connected component; ~25% zero weights; a budget of 0, the
     total, above it, or random."""
     rng = random.Random(seed)
-    n = rng.randint(0, 10)
+    n = rng.randint(0, max_n)
     p = rng.uniform(0.05, 0.5)
     order = list(range(n))
     rng.shuffle(order)
@@ -137,6 +153,28 @@ class TestMatchesSetOracle:
                 assert brute_force(inst) == oracles.brute_force_oracle(inst), (
                     f"seed {seed} {kind.value}"
                 )
+
+    @pytest.mark.parametrize("dag", [True, False], ids=["dag", "general"])
+    def test_wide_weights(self, dag):
+        """Weights near 2^14, 2^30 or 2^62 / n put the weight tables in
+        int16, int32 and int64, some totals right at a boundary, and the
+        budgets 0, total and 2^63 - 1 test the cut of the budget to the
+        total."""
+        widths = set()
+        for seed in range(150):
+            g, _, _ = _oracle_case(seed, dag, max_n=8)
+            rng = random.Random(seed + 10**6)
+            scale = rng.choice([2**14, 2**30, 2**62 // max(g.n, 1)])
+            weights = tuple(0 if rng.random() < 0.25 else scale - rng.randint(0, 2) for _ in range(g.n))
+            total = sum(weights)
+            widths.add(_kernels.weight_dtype(total))
+            for budget in (0, total, MAX_INT, rng.randint(0, total)):
+                for kind in ProblemKind:
+                    inst = WeightedInstance(g, weights, budget, kind)
+                    assert brute_force(inst) == oracles.brute_force_oracle(inst), (
+                        f"seed {seed} budget {budget} {kind.value}"
+                    )
+        assert widths == {np.int16, np.int32, np.int64}
 
 
 class TestForestDP:

@@ -152,10 +152,29 @@ class TestSubsetKernels:
             assert np.array_equal(got_c, ref_c)
             assert np.array_equal(got_w, ref_w)
 
+    @pytest.mark.parametrize("total", [2**15 - 1, 2**15, 2**31 - 1, 2**31])
+    def test_weight_width_boundaries(self, total):
+        """Weights summing to exactly the largest total of a dtype, or one
+        more, in the dtype ``weight_dtype`` picks: the full mask's weight
+        must not wrap."""
+        masks, _ = _random_masks(8, 8)
+        dtype = _kernels.weight_dtype(total)
+        assert dtype == (np.int16 if total < 2**15 else np.int32 if total < 2**31 else np.int64)
+        weights = np.full(8, total // 8, dtype=dtype)
+        weights[-1] += total % 8
+        for weak, kernel in ((False, _kernels.closed_subsets), (True, _kernels.weak_closed_subsets)):
+            got_c, got_w = kernel(masks, weights)
+            ref_c, ref_w = _closed_reference(masks, weights, weak=weak)
+            assert got_w.dtype == dtype and got_w[-1] == total
+            assert np.array_equal(got_c, ref_c)
+            assert np.array_equal(got_w, ref_w)
+
     @pytest.mark.parametrize("case", ["random", *_EDGE_CASES])
     def test_weak_completions_match_reference(self, case):
+        """Completions of up to 31 nodes fit an int32 table."""
         masks, _ = {"random": _random_masks(7, 8), **_EDGE_CASES}[case]
         got = _kernels.weak_completions(masks)
+        assert got.dtype == np.int32
         assert np.array_equal(got, _completion_reference(masks))
 
     @pytest.mark.parametrize("seed", range(5))
