@@ -26,24 +26,26 @@ tables are filled in place by doubling: the masks [2^i, 2^(i+1)) are the
 masks [0, 2^i) plus node i, so each step copies the prefix and then
 applies only the rules whose highest node is i.
 
-A rule is a condition on a few bits, so the masks it touches form a
-sub-cube: reshaped to (2,)*i, the half table [0, 2^i) or [2^i, 2^(i+1))
-is one axis per node below i, and fixing the rule's axes to 0 or 1
-leaves a strided view of exactly those masks (``_cube``).  Each rule is
-one write into such a view: ``False`` for a closure rule, the forced bit
-OR-ed in for a completion.  The strong rule "every out-neighbour
-selected" fails where some single one is not, so it is one write per
-arc, 2^(t-1) entries at its higher node t; a weak rule fixes all of its
-k bits at once, 2^(t-k) entries.  No mask index array and no per-rule
-temporary is built, so the closure tables hold a bool and a weight per
-mask, 1 + w bytes, where the weight table takes the dtype of
-``weights``: ``weight_dtype`` picks the narrowest of int16, int32 and
-int64 that holds the total weight, so w is 2 for totals below 2^15.  The
-completions take an int32 per mask up to n = 31 (int64 above), 4 bytes,
-with one more such table alive during the pointer doubling, which adds
-ceil(log2 n) + 1 gathers of 2^n at most.  A view has one axis per node,
-and numpy 1.x allows 32 axes (2.x 64), so the kernels work up to
-n = 33; ``exact.DEFAULT_BRUTE_CAP`` is 20 and the tests go to 24.
+Both closure rules are lists of forbidden patterns (ones, zeros): a mask
+is not closed when it holds every bit of ``ones`` and no bit of
+``zeros``.  The strong rule gives one pattern per arc u -> v,
+(1 << u, 1 << v); the weak rule one per node x with in-neighbours,
+(in[x], 1 << x).  One kernel, ``_forbid``, applies them.  The masks a
+pattern matches form a sub-cube: reshaped to (2,)*i, the half table
+[0, 2^i) or [2^i, 2^(i+1)) is one axis per node below i, and fixing the
+pattern's axes to 0 or 1 leaves a strided view of exactly those masks
+(``_cube``).  So each pattern, one per arc or per weak node, is one
+``False`` write of 2^(t-k) entries for k fixed bits and highest node t,
+and a completion rule is one write that ORs the forced bit in.  No mask index array and no per-rule temporary is built, so the
+closure tables hold a bool and a weight per mask, 1 + w bytes, where the
+weight table takes the dtype of ``weights``: ``weight_dtype`` picks the
+narrowest of int16, int32 and int64 that holds the total weight, so w is
+2 for totals below 2^15.  The completions take an int32 per mask up to
+n = 31 (int64 above), 4 bytes, with one more such table alive during the
+pointer doubling, which adds ceil(log2 n) + 1 gathers of 2^n at most.  A
+view has one axis per node, and numpy 1.x allows 32 axes (2.x 64), so
+the kernels work up to n = 33; ``exact.DEFAULT_BRUTE_CAP`` is 20 and the
+tests go to 24.
 """
 from __future__ import annotations
 
@@ -99,26 +101,11 @@ def weight_dtype(total: int):
     return np.int64
 
 
-def _tables(n, dtype):
-    """The closed and weight tables of the empty node set, preallocated
-    for all 2^n masks."""
-    total = 1 << n
-    closed = np.empty(total, dtype=np.bool_)
-    weight = np.empty(total, dtype=dtype)
-    closed[0], weight[0] = True, 0
-    return closed, weight
-
-
-def _double(closed, weight, h, w):
-    """Masks [h, 2h) select node log2(h) on top of masks [0, h)."""
-    closed[h : 2 * h] = closed[:h]
-    np.add(weight[:h], w, out=weight[h : 2 * h])
-
-
 def _cube(half, i, ones=0, zeros=0):
     """The view of ``half`` (2^i entries, one per mask over nodes below
     i) holding the masks with every bit of ``ones`` set and every bit of
-    ``zeros`` clear.  Node k is axis i - 1 - k of the (2,)*i reshape."""
+    ``zeros`` clear; bits from i up are ignored.  Node k is axis
+    i - 1 - k of the (2,)*i reshape."""
     idx = [slice(None)] * i
     for k in range(i):
         if (ones >> k) & 1:
@@ -129,43 +116,41 @@ def _cube(half, i, ones=0, zeros=0):
     return half.reshape((2,) * i)[tuple(idx) + (Ellipsis,)]
 
 
-def closed_subsets(out_masks, weights):
-    n = out_masks.shape[0]
-    closed, weight = _tables(n, weights.dtype)
+def _forbid(n, rules, weights):
+    """The closed and weight tables of all 2^n masks, where a mask is
+    closed unless it matches a rule (ones, zeros) of ``rules``: holds
+    every bit of ``ones`` and no bit of ``zeros``."""
+    closed = np.empty(1 << n, dtype=np.bool_)
+    weight = np.empty(1 << n, dtype=weights.dtype)
+    closed[0], weight[0] = True, 0
+    # A rule binds at its highest node i, on the half that selects i or
+    # on the half that does not.
+    bound = [[] for _ in range(n)]
+    for ones, zeros in rules:
+        bound[(ones | zeros).bit_length() - 1].append((ones, zeros))
     for i in range(n):
         h = 1 << i
-        _double(closed, weight, h, weights[i])
-        # Arcs i -> v and u -> i with v, u < i: a selected i needs every
-        # such v, an unselected i forbids every such u.
-        up = int(out_masks[i]) & (h - 1)
-        for v in range(i):
-            if (up >> v) & 1:
-                _cube(closed[h : 2 * h], i, zeros=1 << v)[...] = False
-        for u in range(i):
-            if (int(out_masks[u]) >> i) & 1:
-                _cube(closed[:h], i, ones=1 << u)[...] = False
+        closed[h : 2 * h] = closed[:h]
+        np.add(weight[:h], weights[i], out=weight[h : 2 * h])
+        for ones, zeros in bound[i]:
+            half = closed[h : 2 * h] if ones & h else closed[:h]
+            _cube(half, i, ones, zeros)[...] = False
     return closed, weight
+
+
+def closed_subsets(out_masks, weights):
+    # An arc u -> v forbids u selected with v not.
+    n = out_masks.shape[0]
+    rules = [
+        (1 << u, 1 << v) for u, m in enumerate(map(int, out_masks)) for v in range(n) if m >> v & 1
+    ]
+    return _forbid(n, rules, weights)
 
 
 def weak_closed_subsets(in_masks, weights):
-    n = in_masks.shape[0]
-    closed, weight = _tables(n, weights.dtype)
-    # The rule of node x binds at the highest node it names, x or an
-    # in-neighbour of x.
-    rules = [[] for _ in range(n)]
-    for x in range(n):
-        m = int(in_masks[x])
-        if m:
-            rules[max(x, m.bit_length() - 1)].append((x, m))
-    for i in range(n):
-        h = 1 << i
-        _double(closed, weight, h, weights[i])
-        for x, m in rules[i]:
-            if x == i:  # x unselected with all in-neighbours selected
-                _cube(closed[:h], i, ones=m)[...] = False
-            else:  # i selected, the other in-neighbours of x too, x not
-                _cube(closed[h : 2 * h], i, ones=m ^ h, zeros=1 << x)[...] = False
-    return closed, weight
+    # A node x with in-neighbours forbids them all selected with x not.
+    rules = [(m, 1 << x) for x, m in enumerate(map(int, in_masks)) if m]
+    return _forbid(in_masks.shape[0], rules, weights)
 
 
 def weak_completions(in_masks):
@@ -188,7 +173,7 @@ def weak_completions(in_masks):
         hi = step[h : 2 * h]
         np.bitwise_or(step[:h], h, out=hi)
         for x, m in rules[i]:
-            _cube(hi, i, ones=m ^ h)[...] |= 1 << x
+            _cube(hi, i, ones=m)[...] |= 1 << x
     # Pointer doubling: F^(2^k) after k rounds.  F grows every mask and is
     # monotone, so its iterates of S stay below the least fixpoint above
     # S; a table T with T[T] = T holds fixpoints, so it is the completion.

@@ -433,10 +433,10 @@ _CSV_COLUMNS = [
 
 
 def _csv_list(text: str, parse, what: str) -> list:
-    """The comma-separated items of ``text``, each read by ``parse``;
-    a malformed or unknown item is a parse error."""
+    """The comma-separated items of ``text``, each stripped and read by
+    ``parse``; a malformed or unknown item is a parse error."""
     try:
-        return [parse(tok) for tok in text.split(",") if tok.strip()]
+        return [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise formats.ParseError(f"bad {what} list {text!r}") from None
 

@@ -5,20 +5,23 @@
   2^n masks come from ``_kernels`` (1 + w bytes per mask, w = 2, 4 or 8
   as the total weight needs; see there for time), fed the neighbour
   masks of ``graph.neighbour_masks`` as int64 arrays.  The budget is cut
-  to the total weight before it meets the tables, and the budget and tie
-  tests narrow the boolean table in place, 2^16 masks at a time, so no
-  temporary as large as a table is built.  The maximizing kinds read the
-  best weight off the boolean table, so only the ties become an index
-  array.  Measured tracemalloc peaks at n = 20 (a random DAG, arc
-  probability 0.12, total weight below 2^15): 3.2-3.3 MB for ssg, ssgw
-  and maximal-ssg, the 3.1 MB of tables and little else; 16.3 MB for
+  to the total weight before it meets the tables.  All four kinds then
+  take one answer path on the boolean table: keep the masks within the
+  budget; for the maximal kinds, list the feasible masks once as an
+  index array and clear the extendable ones; keep the masks of the best
+  weight (the largest, or for the maximal kinds the smallest); and read
+  the lexicographically first of them off the table through strided
+  views.  The budget and tie tests narrow the table in place, 2^16 masks
+  at a time, so no temporary as large as a table is built.  Measured
+  tracemalloc peaks at n = 20 (a random DAG, arc probability 0.12, total
+  weight below 2^15): 3.2 MB for ssg, ssgw and maximal-ssg, the 3.1 MB of
+  tables and little else, also when all 2^20 masks tie; 17.3 MB for
   maximal-ssgw, whose int32 completion table and its pointer-doubling
-  copy add 4 bytes per mask each.
-  For the maximal kinds the feasible masks are then listed and tested,
-  once per component or node: the strong kinds look for a sink component
-  of the unselected part that fits, the weak kinds read the weight of the
-  completion of each mask plus one node from a table of all completions.
-  Ties go to the lexicographically smallest node tuple, chosen with numpy.
+  copy add 4 bytes per mask each.  The maximality tests run once per
+  component or node over the feasible masks: the strong kinds look for a
+  sink component of the unselected part that fits, the weak kinds read
+  the weight of the completion of each mask plus one node from a table
+  of all completions.
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
   boolean feasibility vectors indexed by weight: reachable weights with
@@ -145,16 +148,18 @@ def _keep_where(closed: np.ndarray, weight: np.ndarray, test, value: int) -> Non
         closed[block] &= test(weight[block], value)
 
 
-def _lexicographic_first(pool: np.ndarray) -> int:
-    """The mask of ``pool`` whose sorted node tuple is smallest: the empty
-    mask if present, else among the masks with the smallest lowest node,
-    the first once that node is stripped."""
-    chosen = 0
-    while not (pool == 0).any():
-        low = pool & -pool
-        first = low.min()
-        chosen |= int(first)
-        pool = pool[low == first] ^ first
+def _lexicographic_first(tie: np.ndarray) -> int:
+    """The mask set in the boolean table ``tie`` whose sorted node tuple
+    is smallest: the empty mask if set, else among the masks with the
+    smallest lowest node k, the first once k is stripped.  The masks whose
+    lowest node is k are ``tie[2^k :: 2^(k+1)]``, entry j holding the
+    nodes of j shifted above k, so each step descends into such a view."""
+    chosen = base = 0
+    while not tie[0]:
+        k = next(k for k in range(tie.size.bit_length()) if tie[1 << k :: 2 << k].any())
+        chosen |= 1 << (base + k)
+        tie = tie[1 << k :: 2 << k]
+        base += k + 1
     return chosen
 
 
@@ -179,25 +184,20 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
         closed, weight = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
     _keep_where(closed, weight, np.less_equal, budget)
     # The empty set is closed under both rules and fits any budget, so
-    # feasible sets exist, and none weighs less than the ``initial`` 0.
+    # feasible sets exist, and so do maximal ones (a feasible set that no
+    # feasible set strictly contains cannot be extended): the ``initial``
+    # of a reduction below never stands in for a missing mask.
     if inst.kind.is_maximal:
         cand = np.flatnonzero(closed)
-        del closed
         if inst.kind.is_weak:
-            cand = cand[~_extendable_weak(inst, cand, weight, budget, in_masks)]
+            closed[cand] = ~_extendable_weak(inst, cand, weight, budget, in_masks)
         else:
-            cand = cand[~_extendable_strong(inst, cand, weight, budget)]
-        # A feasible set that no feasible set strictly contains cannot be
-        # extended, so it is maximal.
-        assert cand.size, "a feasible set exists, so a maximal one does"
-        best = int(weight[cand].min())
-        ties = cand[weight[cand] == best]
+            closed[cand] = ~_extendable_strong(inst, cand, weight, budget)
+        best = int(weight.min(where=closed, initial=budget))
     else:
         best = int(weight.max(where=closed, initial=0))
-        _keep_where(closed, weight, np.equal, best)
-        ties = np.flatnonzero(closed)
-    chosen = _lexicographic_first(ties)
-    return Solution(frozenset(mask_nodes(chosen)), best)
+    _keep_where(closed, weight, np.equal, best)
+    return Solution(frozenset(mask_nodes(_lexicographic_first(closed))), best)
 
 
 # ---------------------------------------------------------------------------

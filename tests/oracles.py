@@ -8,11 +8,16 @@ so that the vectorised brute force and the checker are held to one
 definition of closure and maximality; and ``tournament_oracle``, an
 earlier ``solve_tournament`` kept verbatim on the library's graph
 predicates and condensation, so that its witnesses pin the current ones.
+``lexicographic_first_oracle`` is the earlier index-array tie rule of
+``brute_force``, kept verbatim to pin the one that reads the boolean
+table.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Optional
+
+import numpy as np
 
 from dss import Digraph, GraphError, ProblemKind, Solution, SolverError, WeightedInstance
 from dss.constraints import (
@@ -228,6 +233,19 @@ def tournament_oracle(inst: WeightedInstance) -> Solution:
     else:
         nodes = {v for c in chosen_comps for v in cond.members[c]}
     return Solution(frozenset(nodes), suffix_weight[best_k])
+
+
+def lexicographic_first_oracle(pool: np.ndarray) -> int:
+    """The mask of ``pool`` whose sorted node tuple is smallest: the empty
+    mask if present, else among the masks with the smallest lowest node,
+    the first once that node is stripped."""
+    chosen = 0
+    while not (pool == 0).any():
+        low = pool & -pool
+        first = low.min()
+        chosen |= int(first)
+        pool = pool[low == first] ^ first
+    return chosen
 
 
 def subset_sums(values, cap: int) -> set[int]:

@@ -29,7 +29,7 @@ from dss import (
     verify_solution,
 )
 from dss import _kernels
-from dss.exact import _STRONG, _WEAK, _Bits, _Levels
+from dss.exact import _STRONG, _WEAK, _Bits, _Levels, _lexicographic_first
 from dss.instance import MAX_INT
 from test_graph import digraphs
 
@@ -76,8 +76,7 @@ class TestBruteForce:
         assert brute_force(inst) == Solution(expected, 0)
 
     @staticmethod
-    def _peak_at_cap(kind):
-        inst = random_instance(GraphClass.DAG, 20, seed=3, arc_prob=0.12, kind=kind)
+    def _peak(inst):
         tracemalloc.start()
         try:
             sol = brute_force(inst)
@@ -87,21 +86,60 @@ class TestBruteForce:
         assert sol is not None and verify_solution(inst, sol).feasible
         return peak
 
+    @classmethod
+    def _peak_at_cap(cls, kind):
+        return cls._peak(random_instance(GraphClass.DAG, 20, seed=3, arc_prob=0.12, kind=kind))
+
     @pytest.mark.parametrize(
         "kind", [ProblemKind.SSG, ProblemKind.SSGW, ProblemKind.MAXIMAL_SSG], ids=lambda k: k.value
     )
     def test_peak_memory_at_cap(self, kind):
         """A bool and an int16 per mask (the total weight is below 2^15):
         at n = 20 the closure and weight tables take 3.1 MB, with no bool
-        temporary as large as a table and no int64 array over the
-        feasible masks beside them (3.2-3.3 MB measured)."""
+        temporary as large as a table and, for ssg and ssgw, no int64
+        array over the feasible masks or the ties beside them (3.2 MB
+        measured)."""
         assert self._peak_at_cap(kind) < 4e6
+
+    @pytest.mark.parametrize("kind", [ProblemKind.SSG, ProblemKind.SSGW], ids=lambda k: k.value)
+    def test_peak_memory_all_tied(self, kind):
+        """No arcs and zero weights: all 2^20 masks fit budget 0 and tie.
+        The tie is read off the boolean table through strided views, so
+        the tables are still the peak (3.2 MB measured; an int64 index
+        array of the ties took it to 12.6 MB)."""
+        inst = make_instance(Digraph(20, []), [0] * 20, 0, kind)
+        assert self._peak(inst) < 4e6
 
     def test_peak_memory_at_cap_maximal_weak(self):
         """The int32 completion table and its pointer-doubling copy come on
-        top, with per-node gathers over the feasible masks (16.3 MB
-        measured; an int64 completion table would pass 20 MB)."""
+        top, with the int64 index array of the feasible masks and per-node
+        gathers over it (17.3 MB measured; an int64 completion table would
+        pass 20 MB)."""
         assert self._peak_at_cap(ProblemKind.MAXIMAL_SSGW) < 20e6
+
+    @pytest.mark.parametrize("case", ["empty", "full", "one", "sparse", "dense", "all"])
+    def test_lexicographic_first_matches_index_rule(self, case):
+        """The tie rule read off a boolean table equals the earlier rule on
+        the index array of its set entries, for n = 0..14."""
+        rng = np.random.default_rng(0)
+        for n in range(15):
+            for _ in range(3):
+                size = 1 << n
+                tie = np.zeros(size, dtype=np.bool_)
+                if case == "empty":
+                    tie[0] = True
+                elif case == "full":
+                    tie[size - 1] = True
+                elif case == "one":
+                    tie[rng.integers(size)] = True
+                elif case == "all":
+                    tie[:] = True
+                else:
+                    # Mask 0 left clear, so that the walk descends.
+                    tie[1:] = rng.random(size - 1) < (0.02 if case == "sparse" else 0.7)
+                    tie[rng.integers(size)] = True
+                expected = oracles.lexicographic_first_oracle(np.flatnonzero(tie))
+                assert _lexicographic_first(tie) == expected
 
     def test_cap(self):
         g = Digraph(21, [])

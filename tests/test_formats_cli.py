@@ -487,6 +487,22 @@ class TestCliBench:
         assert main(["bench", "--kinds", "ssgw"]) == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--classes", "dag, tournament", "--kinds", "ssg"],
+            ["--classes", "dag", "--kinds", "ssg, maximal-ssg"],
+        ],
+    )
+    def test_list_items_may_have_spaces(self, argv, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(
+            ["bench", "--sizes", "4", "--seeds", "0", "--k-list", "0", *argv, "--out", str(out)]
+        ) == 0
+        lines = out.read_text().splitlines()
+        # Two classes or two kinds, one row each, plus one summary row.
+        assert len(lines) == 1 + 2 + 1
+
+    @pytest.mark.parametrize(
         "argv, code, message",
         [
             (["--k-list=-1"], 2, "error: k must be nonnegative\n"),
