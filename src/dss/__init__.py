@@ -63,6 +63,7 @@ from .formats import (
     parse_edge_list,
     parse_instance,
     parse_solution,
+    write_instance,
 )
 
 __version__ = "0.1.0"
@@ -116,5 +117,6 @@ __all__ = [
     "parse_edge_list",
     "parse_instance",
     "parse_solution",
+    "write_instance",
     "__version__",
 ]

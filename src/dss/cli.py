@@ -14,11 +14,12 @@ Exit codes: 0 success, 2 solver/structure mismatch, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import os
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import approx, exact, formats, gadgets
 from .constraints import evaluate
@@ -206,12 +207,23 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write_out(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The text handle a command writes its output to: the file ``path``,
+    or stdout when None.  When the reader of stdout closes it early, the
+    rest of the output is dropped and the command ends as usual: stdout is
+    pointed at devnull, so the flush at exit does not fail again."""
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +294,8 @@ def cmd_solve(args) -> int:
         budget=report.satisfies_budget,
         maximality=report.satisfies_maximality,
     )
-    _write_out(formats.emit_solution(sol, labels, flags), args.out)
+    with _output(args.out) as fh:
+        fh.write(formats.emit_solution(sol, labels, flags))
     return EXIT_OK
 
 
@@ -355,11 +368,12 @@ def cmd_generate_clique(args) -> int:
     graph, _labels = formats.parse_edge_list(_read(args.edges))
     spec = gadgets.CliqueGadgetSpec(graph, args.clique_size)
     inst, labels = gadgets.clique_to_ssg(spec)
-    text = (
-        f"# clique reduction: hit the budget exactly iff a clique of size"
-        f" {args.clique_size} exists\n" + formats.emit_instance(inst, labels)
-    )
-    _write_out(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(
+            f"# clique reduction: hit the budget exactly iff a clique of size"
+            f" {args.clique_size} exists\n"
+        )
+        formats.write_instance(inst, labels, fh)
     return EXIT_OK
 
 
@@ -369,11 +383,9 @@ def cmd_generate_hard_maximal(args) -> int:
         raise InstanceError("source instance must use the ssg kind")
     spec = gadgets.MaximalGadgetSpec(src.graph, src.weights, args.p, src.budget)
     inst, labels, threshold = gadgets.cardinality_to_maximal(spec)
-    text = (
-        f"# cardinality reduction: decision threshold q = {threshold}\n"
-        + formats.emit_instance(inst, labels)
-    )
-    _write_out(text, args.out)
+    with _output(args.out) as fh:
+        fh.write(f"# cardinality reduction: decision threshold q = {threshold}\n")
+        formats.write_instance(inst, labels, fh)
     return EXIT_OK
 
 
@@ -381,7 +393,8 @@ def cmd_generate_independent_set(args) -> int:
     graph, _labels = formats.parse_edge_list(_read(args.edges))
     spec = gadgets.ISGadgetSpec(graph)
     inst, labels = gadgets.graph_to_ssgw(spec, ProblemKind(args.kind))
-    _write_out(formats.emit_instance(inst, labels), args.out)
+    with _output(args.out) as fh:
+        formats.write_instance(inst, labels, fh)
     return EXIT_OK
 
 
@@ -390,7 +403,8 @@ def cmd_generate_subset_sum(args) -> int:
     inst, labels = gadgets.subset_sum_to_tree(
         values, args.budget, ProblemKind(args.kind)
     )
-    _write_out(formats.emit_instance(inst, labels), args.out)
+    with _output(args.out) as fh:
+        formats.write_instance(inst, labels, fh)
     return EXIT_OK
 
 
@@ -410,7 +424,8 @@ def cmd_generate_random(args) -> int:
         arc_prob=args.arc_prob,
     )
     labels = [f"v{i}" for i in range(inst.graph.n)]
-    _write_out(formats.emit_instance(inst, labels), args.out)
+    with _output(args.out) as fh:
+        formats.write_instance(inst, labels, fh)
     return EXIT_OK
 
 
@@ -510,11 +525,10 @@ def cmd_bench(args) -> int:
             }
         )
     rows.sort(key=lambda row: str(row["instance-id"]))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_out(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return EXIT_OK
 
 

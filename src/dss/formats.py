@@ -26,11 +26,17 @@ Edge-list files for undirected gadget sources::
 
 Node ids are assigned in declaration order (first appearance for edge
 lists); labels live only at this boundary.
+
+``write_instance`` writes an instance file to an open text handle,
+``CHUNK_LINES`` lines per ``write``, so that writing it holds the
+instance and one chunk of text, not the whole file; ``emit_instance``
+returns the same text as a string.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TextIO
 
 from .graph import Digraph, GraphError
 from .instance import InstanceError, ProblemKind, Solution, WeightedInstance
@@ -150,13 +156,27 @@ def _nonneg_int(token: str, lineno: int) -> int:
     return value
 
 
+# Lines of instance text per ``write`` call of ``write_instance``.
+CHUNK_LINES = 4096
+
+
+def write_instance(inst: WeightedInstance, labels: list[str], fh: TextIO) -> None:
+    """Write the instance file of ``inst`` to the open text handle ``fh``,
+    at most ``CHUNK_LINES`` lines per ``fh.write``."""
+    fh.write(f"problem {inst.kind.value}\nbudget {inst.budget}\n")
+    weights, arcs = inst.weights, inst.graph.arcs
+    for i in range(0, len(weights), CHUNK_LINES):
+        nodes = zip(labels[i:i + CHUNK_LINES], weights[i:i + CHUNK_LINES])
+        fh.write("".join([f"node {label} {w}\n" for label, w in nodes]))
+    for i in range(0, len(arcs), CHUNK_LINES):
+        chunk = arcs[i:i + CHUNK_LINES]
+        fh.write("".join([f"arc {labels[u]} {labels[v]}\n" for u, v in chunk]))
+
+
 def emit_instance(inst: WeightedInstance, labels: list[str]) -> str:
-    out = [f"problem {inst.kind.value}", f"budget {inst.budget}"]
-    for label, w in zip(labels, inst.weights):
-        out.append(f"node {label} {w}")
-    for u, v in inst.graph.arcs:
-        out.append(f"arc {labels[u]} {labels[v]}")
-    return "\n".join(out) + "\n"
+    buf = io.StringIO()
+    write_instance(inst, labels, buf)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -94,22 +94,29 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("node count must be nonnegative")
-        raw = list(arcs)
+        # A list or tuple is read in place; a one-shot iterable is copied,
+        # since ``_arc_error`` must read the arcs again.
+        raw = arcs if isinstance(arcs, (list, tuple)) else list(arcs)
         ordered = sorted_pairs(n, raw)
         if ordered is None:
             raise _arc_error(n, raw)
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
+        out_adj: list = [[] for _ in range(n)]
+        in_adj: list = [[] for _ in range(n)]
         try:
             for u, v in ordered:
                 out_adj[u].append(v)
                 in_adj[v].append(u)
         except (TypeError, ValueError):  # ids numpy took for integers, e.g. 1.0
             raise _arc_error(n, raw) from None
+        # Each list becomes a tuple in place, so the lists and the tuples
+        # are never all alive at once.
+        for adj in (out_adj, in_adj):
+            for v, nbrs in enumerate(adj):
+                adj[v] = tuple(nbrs)
         self.n = n
         self.arcs = ordered
-        self.out_adj = tuple(map(tuple, out_adj))
-        self.in_adj = tuple(map(tuple, in_adj))
+        self.out_adj = tuple(out_adj)
+        self.in_adj = tuple(in_adj)
         self._hash = hash((n, self.arcs))
 
     def __eq__(self, other) -> bool:

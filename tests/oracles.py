@@ -10,7 +10,8 @@ earlier ``solve_tournament`` kept verbatim on the library's graph
 predicates and condensation, so that its witnesses pin the current ones.
 ``lexicographic_first_oracle`` is the earlier index-array tie rule of
 ``brute_force``, kept verbatim to pin the one that reads the boolean
-table.
+table.  ``emit_instance_reference`` is the earlier list-and-join
+``emit_instance``, kept verbatim to pin the chunked instance writes.
 """
 from __future__ import annotations
 
@@ -56,6 +57,15 @@ def reference_digraph(n: int, arcs) -> Digraph:
     g.in_adj = tuple(tuple(a) for a in in_adj)
     g._hash = hash((n, g.arcs))
     return g
+
+
+def emit_instance_reference(inst: WeightedInstance, labels: list[str]) -> str:
+    out = [f"problem {inst.kind.value}", f"budget {inst.budget}"]
+    for label, w in zip(labels, inst.weights):
+        out.append(f"node {label} {w}")
+    for u, v in inst.graph.arcs:
+        out.append(f"arc {labels[u]} {labels[v]}")
+    return "\n".join(out) + "\n"
 
 
 def reach_matrix(n: int, arcs) -> list[list[bool]]:

@@ -3,29 +3,39 @@ import io
 import random
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import FIG_B_ARCS, FIG_B_WEIGHTS, cli_env, deep_path_instance
 
 from dss import (
+    CliqueGadgetSpec,
     Digraph,
     GraphClass,
+    MaximalGadgetSpec,
     ParseError,
     ProblemKind,
     Solution,
     SolutionFlags,
     WeightedInstance,
+    cardinality_to_maximal,
+    clique_to_ssg,
     emit_instance,
     emit_solution,
     parse_edge_list,
     parse_instance,
     parse_solution,
     random_instance,
+    subset_sum_to_tree,
+    write_instance,
 )
 from dss.cli import ALGORITHMS, main
+from dss.formats import CHUNK_LINES
 
 FIG_B_TEXT = """\
 # second worked tree, maximal minimization
@@ -470,6 +480,118 @@ class TestCliGenerate:
         assert "threshold" in out.splitlines()[0]
 
 
+# Line counts at and around the chunk boundaries of ``write_instance``.
+CHUNK_COUNTS = [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 1]
+
+
+def _instance_with(n: int, m: int) -> tuple[WeightedInstance, list[str]]:
+    """A seeded instance with ``n`` nodes and ``m`` arcs, labels and
+    weights of mixed widths."""
+    rng = random.Random(1000 * n + m)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v] if m else []
+    weights = tuple(rng.randrange(10 ** rng.randrange(1, 7)) for _ in range(n))
+    kind = rng.choice(list(ProblemKind))
+    inst = WeightedInstance(Digraph(n, rng.sample(pairs, m)), weights, rng.randrange(100), kind)
+    return inst, [f"{rng.choice('abxyz')}{i}" for i in range(n)]
+
+
+class TestInstanceWrites:
+    """Chunked instance writes give the bytes of the earlier list-and-join
+    ``emit_instance``: through ``emit_instance``, ``write_instance`` and
+    ``dss generate`` to a file or to stdout."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(c, 0) for c in CHUNK_COUNTS] + [(130, c) for c in CHUNK_COUNTS]
+    )
+    def test_emit_matches_reference(self, n, m):
+        inst, labels = _instance_with(n, m)
+        text = emit_instance(inst, labels)
+        assert text == oracles.emit_instance_reference(inst, labels)
+        writes: list[str] = []
+        write_instance(inst, labels, types.SimpleNamespace(write=writes.append))
+        assert "".join(writes) == text
+        assert all(0 < chunk.count("\n") <= CHUNK_LINES for chunk in writes)
+
+    @staticmethod
+    def generate(argv, tmp_path, capsys) -> str:
+        """What ``dss generate argv`` writes to ``--out``, once checked
+        equal to what it writes to stdout."""
+        out = tmp_path / "gen.txt"
+        assert main(["generate", *argv, "--out", str(out)]) == 0
+        text = out.read_bytes().decode("utf-8")
+        assert main(["generate", *argv]) == 0
+        assert capsys.readouterr().out == text
+        return text
+
+    @pytest.mark.parametrize("n", [c for c in CHUNK_COUNTS if c > 0])
+    def test_random_node_counts(self, n, tmp_path, capsys):
+        # An oriented tree: n nodes, n - 1 arcs, built in linear time.
+        argv = ["random", "--graph-class", "oriented-tree", "--n", str(n), "--seed", "3"]
+        text = self.generate(argv, tmp_path, capsys)
+        inst = random_instance(GraphClass.ORIENTED_TREE, n, seed=3)
+        assert text == oracles.emit_instance_reference(inst, [f"v{i}" for i in range(n)])
+
+    @pytest.mark.parametrize("m", CHUNK_COUNTS)
+    def test_subset_sum_arc_counts(self, m, tmp_path, capsys):
+        values = [(37 * i) % 1001 for i in range(m)]
+        argv = ["subset-sum", "--values", ",".join(map(str, values)), "--budget", "50"]
+        text = self.generate(argv, tmp_path, capsys)
+        assert text == oracles.emit_instance_reference(*subset_sum_to_tree(values, 50))
+
+    def test_independent_set_empty(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("")
+        text = self.generate(["independent-set", "--edges", str(edges)], tmp_path, capsys)
+        assert text == "problem ssgw\nbudget 0\n"
+
+    def test_clique_with_header(self, tmp_path, capsys):
+        # A 600-cycle: 4800 nodes and 7200 arcs, two chunks each.
+        edges = tmp_path / "e.txt"
+        edges.write_text("".join(f"edge a{i} a{(i + 1) % 600}\n" for i in range(600)))
+        argv = ["clique", "--edges", str(edges), "--clique-size", "2"]
+        text = self.generate(argv, tmp_path, capsys)
+        graph, _ = parse_edge_list(edges.read_text())
+        inst, labels = clique_to_ssg(CliqueGadgetSpec(graph, 2))
+        assert len(labels) > CHUNK_LINES and len(inst.graph.arcs) > CHUNK_LINES
+        assert text == (
+            "# clique reduction: hit the budget exactly iff a clique of size 2 exists\n"
+            + oracles.emit_instance_reference(inst, labels)
+        )
+
+    def test_hard_maximal_with_header(self, tmp_path, capsys):
+        n = CHUNK_LINES + 1
+        src = tmp_path / "src.txt"
+        src.write_text(
+            f"problem ssg\nbudget {3 * n}\n"
+            + "".join(f"node s{i} {1 + i % 5}\n" for i in range(n))
+            + "".join(f"arc s{i} s{i + 1}\n" for i in range(n - 1))
+        )
+        text = self.generate(["hard-maximal", "--instance", str(src), "--p", "3"], tmp_path, capsys)
+        source, _ = parse_instance(src.read_text())
+        spec = MaximalGadgetSpec(source.graph, source.weights, 3, source.budget)
+        inst, labels, threshold = cardinality_to_maximal(spec)
+        assert text == (
+            f"# cardinality reduction: decision threshold q = {threshold}\n"
+            + oracles.emit_instance_reference(inst, labels)
+        )
+
+    def test_write_adds_under_one_megabyte(self, tmp_path):
+        """Writing a 350-node tournament (61,075 arcs) to a file holds the
+        instance and one chunk: 0.35 MB over the instance, where joining
+        the whole text, as ``emit_instance`` does, adds 5.9 MB."""
+        inst = random_instance(GraphClass.TOURNAMENT, 350, seed=0, kind=ProblemKind.MAXIMAL_SSG)
+        labels = [f"v{i}" for i in range(350)]
+        with open(tmp_path / "t.txt", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                write_instance(inst, labels, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(inst.graph.arcs) == 61075
+        assert peak < 1e6
+
+
 class TestCliBench:
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -636,3 +758,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "weight 3" in proc.stdout
+
+    def test_reader_closing_early(self):
+        """A reader that stops after one line ends ``generate`` with exit 0
+        and nothing on stderr; the rest of the text (about 1 MB, past any
+        pipe buffer) is dropped."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dss.cli", "generate", "random",
+             "--graph-class", "tournament", "--n", "400"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert first == b"problem ssg\n" and err == b""
