@@ -6,6 +6,12 @@
 weights, and budgets 0, total, total + 1 and in between.  Weights are
 small, so many optima tie and the tie-breaks of the tracebacks show.
 
+The ``wide/`` groups hold the witnesses of ``WIDE_PER_SOLVER`` instances
+per strong kind with weights 1..60, 20 to 60 nodes and budgets between a
+quarter and three quarters of the total, recorded from the same DPs
+before their score levels were stored as runs: those instances have
+dozens of distinct weights, so the maximal DP runs on many levels.
+
 ``PYTHONPATH=src python3 tests/test_golden_witness.py`` rewrites the
 file from the solvers as they are; do that only for a deliberate change
 of witness.
@@ -27,6 +33,8 @@ from dss import (
 
 GOLDEN = Path(__file__).with_name("golden_witnesses.json")
 PER_SOLVER = 300
+WIDE_PER_SOLVER = 100
+WIDE = ("maximal-ssg", "ssg")
 
 SOLVERS = {
     "ssg": (solve_ssg_tree, ProblemKind.SSG, ("forest", "mixed", "in", "out")),
@@ -63,8 +71,19 @@ def golden_instance(name: str, seed: int) -> WeightedInstance:
     return WeightedInstance(Digraph(n, _arcs(rng, n, shape)), tuple(weights), budget, kind)
 
 
-def _witness(name: str, seed: int) -> list:
-    sol = SOLVERS[name][0](golden_instance(name, seed))
+def wide_instance(name: str, seed: int) -> WeightedInstance:
+    _, kind, shapes = SOLVERS[name]
+    rng = random.Random(f"wide/{name}/{seed}")
+    shape = shapes[seed % len(shapes)]
+    n = rng.randint(20, 60)
+    weights = [rng.randint(1, 60) for _ in range(n)]
+    total = sum(weights)
+    budget = rng.randint(total // 4, 3 * total // 4)
+    return WeightedInstance(Digraph(n, _arcs(rng, n, shape)), tuple(weights), budget, kind)
+
+
+def _witness(name: str, seed: int, instance=golden_instance) -> list:
+    sol = SOLVERS[name][0](instance(name, seed))
     return [sorted(sol.selected), sol.weight]
 
 
@@ -81,6 +100,16 @@ def test_witnesses_unchanged(golden, name):
     assert not mismatched, f"{name}: seeds {mismatched[:10]} changed witness"
 
 
+@pytest.mark.parametrize("name", WIDE)
+def test_wide_weight_witnesses_unchanged(golden, name):
+    expected = golden[f"wide/{name}"]
+    assert len(expected) == WIDE_PER_SOLVER
+    mismatched = [
+        s for s in range(WIDE_PER_SOLVER) if _witness(name, s, wide_instance) != expected[s]
+    ]
+    assert not mismatched, f"wide/{name}: seeds {mismatched[:10]} changed witness"
+
+
 def test_maximal_closed_source_before_open():
     """Over a ch+ child, a closed prefix is tried before an open one: the
     one tie-break the seeded instances above rarely reach."""
@@ -90,8 +119,12 @@ def test_maximal_closed_source_before_open():
 
 
 if __name__ == "__main__":
+    groups = [(name, golden_instance, PER_SOLVER) for name in SOLVERS]
+    groups += [(f"wide/{name}", wide_instance, WIDE_PER_SOLVER) for name in WIDE]
     blocks = [
-        f'"{name}": [\n' + ",\n".join(json.dumps(_witness(name, s)) for s in range(PER_SOLVER)) + "\n]"
-        for name in SOLVERS
+        f'"{key}": [\n'
+        + ",\n".join(json.dumps(_witness(key.removeprefix("wide/"), s, inst)) for s in range(count))
+        + "\n]"
+        for key, inst, count in groups
     ]
     GOLDEN.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
