@@ -5,11 +5,13 @@ Kernels:
 
 - ``shift_or(a, b, nbits)``: boolean convolution of two reachable-weight
   bitsets (bit b of an int means "weight b is reachable"), cut to
-  ``nbits`` bits: the OR of ``b << s`` over the set bits s of ``a``.  It
-  loops over the runs of set bits of the operand with fewer runs, and a
-  run of r bits costs O(log r) shift-ORs (doubling), so an interval of
-  reachable weights costs about as much as a single weight.  This is the
-  inner loop of every tree dynamic program.
+  ``nbits`` bits: the OR of ``b << s`` over the set bits s of ``a``.  A
+  zero operand gives 0 and a one-bit operand one shift, with no scan.
+  Otherwise it loops over the runs of set bits of the operand with fewer
+  runs, peeling the lowest run off with one addition, and a run of r
+  bits costs O(log r) shift-ORs (doubling), so an interval of reachable
+  weights costs about as much as a single weight.  This is the inner
+  loop of every tree dynamic program.
 - ``reverse_bits(x, nbits)``: the ``nbits`` low bits of ``x`` in reverse
   order, so that the traceback can meet two bitsets at a fixed sum.
 - ``closed_subsets(out_masks, weights)``: for every bitmask over n
@@ -61,24 +63,32 @@ def _runs(x: int) -> int:
 
 
 def shift_or(a: int, b: int, nbits: int) -> int:
+    if not (a and b):
+        return 0
+    # One bit at s: b moved up by s.
+    if not a & (a - 1):
+        return (b << (a.bit_length() - 1)) & ((1 << nbits) - 1)
+    if not b & (b - 1):
+        return (a << (b.bit_length() - 1)) & ((1 << nbits) - 1)
     if _runs(b) < _runs(a):
         a, b = b, a
-    bits = bin(a)[:1:-1]  # bits[i] is bit i of a
     out = 0
-    s = bits.find("1")
-    while s >= 0:
-        end = bits.find("0", s)
-        if end < 0:
-            end = len(bits)
-        # b << k for every k < end - s, by doubling: k < c, then k < 2c.
+    while a:
+        s = (a & -a).bit_length() - 1
+        # Adding the lowest bit clears the lowest run [s, end) and sets
+        # bit end, now the lowest.
+        a += 1 << s
+        top = a & -a
+        a ^= top
+        r = top.bit_length() - 1 - s
+        # b << k for every k < r, by doubling: k < c, then k < 2c.
         x, c = b, 1
-        while 2 * c <= end - s:
+        while 2 * c <= r:
             x |= x << c
             c *= 2
-        if end - s > c:
-            x |= x << (end - s - c)
+        if r > c:
+            x |= x << (r - c)
         out |= x << s
-        s = bits.find("1", end)
     return out & ((1 << nbits) - 1)
 
 

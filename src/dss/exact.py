@@ -37,11 +37,18 @@
   The three tree DPs are state tables (``_STRONG``, ``_MAXIMAL``,
   ``_WEAK``) run by one iterative skeleton, ``_TreeDP``.  A table names
   its vector algebra: ``_Bits`` (int bitsets) for the two boolean kinds,
-  ``_Levels`` (a list of ``_Bits`` vectors, one per score threshold) for
-  the maximal kind.  The traceback keeps every node's vectors and its
-  accumulators from before each child, so memory is O(sum of the cut
-  vector lengths) bits, times the number of levels for the maximal kind.
-  The tree DPs refuse min(B, total weight) > ``DEFAULT_BUDGET_CAP``.
+  ``_Levels`` for the maximal kind: one ``_Bits`` vector per score
+  threshold, stored as runs of equal neighbouring levels, so a merge
+  costs one shift-OR per stretch of levels over which neither operand
+  changes, not one per level.  Each ``_Kind`` compiles its table to
+  indices once, when it is defined: the states, the distinct joins of
+  child views per arc direction, and the (dest, ((src, join), ...))
+  rows.  Accumulators and views are lists indexed by them, each join is
+  computed once per child, and the traceback walks the same indices.
+  The traceback keeps every node's vectors and its accumulators from
+  before each child, so memory is O(sum of the cut vector lengths) bits,
+  times the number of level runs for the maximal kind.  The tree DPs
+  refuse min(B, total weight) > ``DEFAULT_BUDGET_CAP``.
 - ``solve_tournament`` and ``solve_balanced_degree_two``: the two
   polynomial special cases.  The closed sets of a tournament are the
   empty set and the suffixes of the Hamiltonian path of its
@@ -59,9 +66,6 @@
 from __future__ import annotations
 
 import bisect
-import functools
-import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -205,28 +209,35 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
 # ---------------------------------------------------------------------------
 
 
-def _component_orders(g: Digraph, starts: Iterable[int]):
-    """Per underlying component, rooted at the first unseen node of
-    ``starts``: (root, preorder node list, children map)."""
-    seen = [False] * g.n
+def _hang(g: Digraph, starts: Iterable[int]) -> tuple[list[list[tuple[int, bool]]], list[int]]:
+    """The forest hung below a virtual root ``g.n``, each underlying
+    component from the first unseen node of ``starts``: per node its
+    children as (child, whether the arc runs father -> child) pairs,
+    sorted by child, and an order of all nodes with each after its
+    children."""
+    n = g.n
+    kids: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
+    seen = [False] * n
+    order: list[int] = []
     for start in starts:
         if seen[start]:
             continue
-        order: list[int] = []
-        children: dict[int, list[int]] = {}
-        stack = [(start, None)]
         seen[start] = True
+        kids[n].append((start, False))
+        stack = [start]
         while stack:
-            v, fa = stack.pop()
+            v = stack.pop()
             order.append(v)
-            children[v] = []
-            if fa is not None:
-                children[fa].append(v)
-            for u in g.out_adj[v] + g.in_adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append((u, v))
-        yield start, order, children
+            for adj, up in ((g.out_adj[v], True), (g.in_adj[v], False)):
+                for u in adj:
+                    if not seen[u]:
+                        seen[u] = True
+                        kids[v].append((u, up))
+                        stack.append(u)
+            kids[v].sort()
+    order.reverse()
+    order.append(n)
+    return kids, order
 
 
 class _Bits:
@@ -239,38 +250,64 @@ class _Bits:
         return 0 if at is None or at >= size else 1 << at
 
     @staticmethod
-    def merge(a: int, b: int, size: int) -> int:
-        return _kernels.shift_or(a, b, size)
-
-    @staticmethod
     def join(vectors) -> int:
-        return functools.reduce(operator.or_, vectors)
+        out = 0
+        for vec in vectors:
+            out |= vec
+        return out
 
     @staticmethod
     def shift(vec: int, w: int, size: int) -> int:
         return (vec << w) & ((1 << size) - 1)
 
     @staticmethod
-    def split(left: dict, pairs, views: dict, rem: int, level) -> tuple[int, str, str]:
+    def step(acc: list, joins: list, rows, size: int) -> list:
+        """The accumulators after one child: per row (dest, pairs) the OR
+        over the pairs (src, join) of acc[src] shift-ORed with
+        joins[join], cut to ``size`` bits.  ``shift_or``'s zero and
+        one-bit cases are inlined, and the cut is made once per row."""
+        out = acc[:]
+        for dest, pairs in rows:
+            vec = 0
+            for src, j in pairs:
+                a, b = acc[src], joins[j]
+                if not (a and b):
+                    continue
+                if not a & (a - 1):
+                    vec |= b << (a.bit_length() - 1)
+                elif not b & (b - 1):
+                    vec |= a << (b.bit_length() - 1)
+                else:
+                    vec |= _kernels.shift_or(a, b, size)
+            out[dest] = vec & ((1 << size) - 1)
+        return out
+
+    @staticmethod
+    def split(left: list, pairs, views: list, rem: int, level) -> tuple[int, int, int]:
         """(a, source, view): the smallest a with bit a of left[source]
         and bit rem - a of views[view] set, then the first pair and view
-        in table order.  With k the view's length, at most rem + 1, and
-        lo = rem + 1 - k, bit i of the view's k low bits reversed is bit
-        rem - (lo + i) of the view, so it meets bit lo + i of left."""
+        in table order.  A pair's smallest a is that of its views joined,
+        and its first view the first with bit rem - a set.  With k the
+        joined view's length, at most rem + 1, and lo = rem + 1 - k, bit
+        i of its k low bits reversed is bit rem - (lo + i), so it meets
+        bit lo + i of left."""
         best = None
         for src, names in pairs:
+            view = 0
             for name in names:
-                k = min(views[name].bit_length(), rem + 1)
-                lo = rem + 1 - k
-                hit = (left[src] >> lo) & _kernels.reverse_bits(
-                    views[name] & ((1 << k) - 1), k
-                )
-                if hit:
-                    a = lo + (hit & -hit).bit_length() - 1
-                    if best is None or a < best[0]:
-                        best = (a, src, name)
+                view |= views[name]
+            k = min(view.bit_length(), rem + 1)
+            lo = rem + 1 - k
+            hit = (left[src] >> lo) & _kernels.reverse_bits(view & ((1 << k) - 1), k)
+            if hit:
+                a = lo + (hit & -hit).bit_length() - 1
+                if best is None or a < best[0]:
+                    best = (a, src, names)
         assert best is not None, "no witness split found (corrupt DP table)"
-        return best
+        a, src, names = best
+        if len(names) > 1:
+            names = [name for name in names if (views[name] >> (rem - a)) & 1]
+        return a, src, names[0]
 
     @staticmethod
     def best(answer: int, budget: int) -> tuple[int, None]:
@@ -279,54 +316,117 @@ class _Bits:
 
 
 class _Levels:
-    """(max, min) score vectors as one ``_Bits`` vector per level: bit b
-    of level j is set iff a selection of weight b scores at least
+    """(max, min) score vectors, one ``_Bits`` vector per level: bit b of
+    level j is set iff a selection of weight b scores at least
     ``thresholds[j]``.  The thresholds are the distinct node weights up to
     the budget B, then B + 1 for every heavier weight and for "no addable
     vertex".  Scores are node weights or that, so for s <= B + 1 a score
-    is >= s iff it is >= the smallest threshold >= s.  No shift:
+    is >= s iff it is >= the smallest threshold >= s.
+
+    A score that reaches a threshold reaches every lower one, so the
+    levels are nested, and neighbouring levels are often equal.  A vector
+    is therefore a list of runs [(end, bits), ...]: the levels from the
+    end of the run before (0 for the first) up to ``end`` hold ``bits``.
+    Ends rise, neighbouring runs differ, no run holds 0, and the levels
+    from the last end up are empty ([] is the empty vector).  Run lists
+    are never changed once built, so vectors share them.  No shift:
     ``_MAXIMAL`` has no shifted state."""
 
     def __init__(self, weights, budget: int):
         self.thresholds = sorted({w for w in weights if w <= budget}) + [budget + 1]
 
-    def start(self, size: int, at: Optional[int]) -> list[int]:
-        return [_Bits.start(size, at)] * len(self.thresholds)
+    def start(self, size: int, at: Optional[int]) -> list:
+        bits = _Bits.start(size, at)
+        return [(len(self.thresholds), bits)] if bits else []
 
     @staticmethod
-    def merge(a: list[int], b: list[int], size: int) -> list[int]:
-        """min(x, y) >= t iff x >= t and y >= t: shift-OR per level, run
-        once per run of equal neighbouring level pairs."""
-        out, last = [], None
-        for pair in zip(a, b):
-            if pair != last:
-                last, vec = pair, _kernels.shift_or(*pair, size)
-            out.append(vec)
+    def merge(a: list, b: list, size: int) -> list:
+        """min(x, y) >= t iff x >= t and y >= t: one shift-OR per stretch
+        of levels over which neither a nor b changes run.  Nested levels
+        merge to nested levels, so the first empty one ends the walk."""
+        out: list = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ea, va), (eb, vb) = a[i], b[j]
+            bits = _kernels.shift_or(va, vb, size)
+            if not bits:
+                break
+            end = ea if ea < eb else eb
+            if out and out[-1][1] == bits:
+                out[-1] = (end, bits)
+            else:
+                out.append((end, bits))
+            i += ea == end
+            j += eb == end
         return out
 
     @staticmethod
-    def join(vectors) -> list[int]:
-        return functools.reduce(lambda a, b: list(map(operator.or_, a, b)), vectors)
+    def join(vectors) -> list:
+        """OR per level, over the union of the run ends."""
+        out = vectors[0]
+        for b in vectors[1:]:
+            if not out or not b:
+                out = out or b
+                continue
+            a, out = out, []
+            i = j = 0
+            while i < len(a) and j < len(b):
+                (ea, va), (eb, vb) = a[i], b[j]
+                end = ea if ea < eb else eb
+                bits = va | vb
+                if out and out[-1][1] == bits:
+                    out[-1] = (end, bits)
+                else:
+                    out.append((end, bits))
+                i += ea == end
+                j += eb == end
+            for end, bits in a[i:] or b[j:]:
+                if out[-1][1] == bits:
+                    out[-1] = (end, bits)
+                else:
+                    out.append((end, bits))
+        return out
 
-    def addable(self, vec: list[int], w: int) -> list[int]:
+    def step(self, acc: list, joins: list, rows, size: int) -> list:
+        """``_Bits.step`` with (max, min) merges and per-level joins."""
+        out = acc[:]
+        for dest, pairs in rows:
+            parts = [self.merge(acc[src], joins[j], size) for src, j in pairs]
+            out[dest] = parts[0] if len(parts) == 1 else self.join(parts)
+        return out
+
+    def addable(self, vec: list, w: int) -> list:
         """min(vec, w): the levels whose threshold is above w emptied."""
         k = bisect.bisect_right(self.thresholds, w)
-        return vec[:k] + [0] * (len(vec) - k)
+        for i, (end, bits) in enumerate(vec):
+            if end >= k:
+                return vec[:i] + [(k, bits)] if k else []
+        return vec
 
     @staticmethod
-    def split(left: dict, pairs, views: dict, rem: int, level: int) -> tuple[int, str, str]:
-        """``_Bits.split`` on the witness level."""
-        left, views = ({k: vec[level] for k, vec in d.items()} for d in (left, views))
-        return _Bits.split(left, pairs, views, rem, None)
+    def level(vec: list, j: int) -> int:
+        """The bits of level j."""
+        for end, bits in vec:
+            if j < end:
+                return bits
+        return 0
 
-    def best(self, answer: list[int], budget: int) -> tuple[int, int]:
+    @staticmethod
+    def split(left: list, pairs, views: list, rem: int, level: int) -> tuple[int, int, int]:
+        """``_Bits.split`` on the witness level."""
+        at = _Levels.level
+        return _Bits.split([at(x, level) for x in left], pairs, [at(x, level) for x in views], rem, None)
+
+    def best(self, answer: list, budget: int) -> tuple[int, int]:
         """The smallest weight b whose score exceeds B - b, i.e. at which
         no addable vertex fits, and the level a witness must reach: that
-        of B + 1 - b.  Level j holds such a b iff b >= B + 1 - t_j."""
+        of B + 1 - b.  Level j holds such a b iff b >= B + 1 - t_j.  Over
+        the levels of a run the bits stay and that bound falls, so the
+        last level of each run gives the run's smallest b."""
         b = min(
             lo + (hits & -hits).bit_length() - 1
-            for t, vec in zip(self.thresholds, answer)
-            if (hits := vec >> (lo := budget + 1 - t))
+            for end, bits in answer
+            if (hits := bits >> (lo := budget + 1 - self.thresholds[end - 1]))
         )
         return b, bisect.bisect_left(self.thresholds, budget + 1 - b)
 
@@ -335,42 +435,77 @@ class _Levels:
 _Table = dict[str, tuple[tuple[str, tuple[str, ...]], ...]]
 
 
-@dataclass(frozen=True)
 class _Kind:
     """One tree DP over the semiring (max, min) on ``zero < one``: with
     booleans that is (OR, AND).
 
     Each node keeps one vector per state, indexed by the total weight of
     a selection in its subtree.  ``ops(weights, budget)`` builds the
-    vector algebra (start, merge, join, shift, split search and answer
-    read-out): ``_Bits`` for booleans, ``_Levels`` for (max, min) scores.
-    ``start(w, leaf)`` gives, per state, the one weight at which it holds
-    ``one`` before any child is merged (None: nowhere).
+    vector algebra (start, child step, join, shift, split search and
+    answer read-out): ``_Bits`` for booleans, ``_Levels`` for (max, min)
+    scores.  ``states`` names the states, ``plus`` ("node selected")
+    first, and ``start(w, leaf)`` gives, in that order, the one weight at
+    which each holds ``one`` before any child is merged (None: nowhere).
     ``table[arc v -> u]`` maps each state of v to its (source state, child
     views) pairs: the views are joined, merged into the source's
     accumulator, and the pairs joined.  The traceback takes the smallest
     split, then the first pair and the first view in table order.
-    ``views(ops, acc, w)`` gives the vectors a father reads, and
-    ``view_state`` the state each view resolves the child into.  The state ``plus``
-    means "node selected".  A ``shifted`` state is built after each child
-    step as the join of other states moved up by the node weight, which
-    must equal what its table pairs give; its pairs then only drive the
-    traceback, and the step saves a merge.
+    ``view_state`` names the views a father reads of a child, each with
+    the state it resolves the child into; a view is that state's vector,
+    cut by ``ops.addable`` to min(score, w) for the views in ``addable``.
+    A ``shifted`` state is built after each child step as the join of
+    other states moved up by the node weight, which must equal what its
+    table pairs give; its pairs then only drive the traceback, and the
+    step saves a merge.
+
+    The tables are compiled to indices here, once per kind: ``views``
+    holds each view's state, ``cut`` the views in ``addable``, ``shift``
+    the shifted states as (dest, parts), and per arc direction ``up``,
+    ``joins[up]`` the distinct view groups of the table (each joined once
+    per child), ``rows[up]`` the unshifted states as (dest, ((src, join),
+    ...)), and ``trace[up][dest]`` every state's pairs as ((src, views),
+    ...) in table order.
     """
 
-    ops: Callable[[Iterable[int], int], object]
-    start: Callable[[int, bool], dict[str, Optional[int]]]
-    table: dict[bool, _Table]
-    views: Callable[[object, dict, int], dict]
-    view_state: dict[str, str]
-    shifted: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        ops: Callable[[Iterable[int], int], object],
+        states: tuple[str, ...],
+        start: Callable[[int, bool], tuple[Optional[int], ...]],
+        table: dict[bool, _Table],
+        view_state: dict[str, str],
+        addable: tuple[str, ...] = (),
+        shifted: Optional[dict[str, tuple[str, ...]]] = None,
+    ):
+        self.ops, self.start = ops, start
+        shifted = shifted or {}
+        state = {s: i for i, s in enumerate(states)}
+        view = {x: i for i, x in enumerate(view_state)}
+        self.views = tuple(state[s] for s in view_state.values())
+        self.cut = tuple(view[x] for x in addable)
+        self.shift = tuple((state[d], tuple(state[p] for p in parts)) for d, parts in shifted.items())
+        self.joins, self.rows, self.trace = {}, {}, {}
+        for up, rows in table.items():
+            assert list(rows) == list(states), "a table row per state, in order"
+            groups = list(dict.fromkeys(group for pairs in rows.values() for _, group in pairs))
+            self.joins[up] = tuple(tuple(view[x] for x in group) for group in groups)
+            self.rows[up] = tuple(
+                (state[dest], tuple((state[src], groups.index(group)) for src, group in pairs))
+                for dest, pairs in rows.items()
+                if dest not in shifted
+            )
+            self.trace[up] = tuple(
+                tuple((state[src], tuple(view[x] for x in group)) for src, group in pairs)
+                for pairs in rows.values()
+            )
 
 
 # Strong closure on an oriented forest: a selected v forces a ch+ child
 # (arc v -> u); an unselected v forbids a ch- child (arc u -> v).
 _STRONG = _Kind(
     ops=lambda weights, budget: _Bits,
-    start=lambda w, leaf: {"plus": w, "minus": 0},
+    states=("plus", "minus"),
+    start=lambda w, leaf: (w, 0),
     table={
         True: {
             "plus": (("plus", ("plus",)),),
@@ -381,7 +516,6 @@ _STRONG = _Kind(
             "minus": (("minus", ("minus",)),),
         },
     },
-    views=lambda ops, acc, w: acc,
     view_state={"plus": "plus", "minus": "minus"},
 )
 
@@ -397,7 +531,8 @@ _STRONG = _Kind(
 # father does not block it.
 _MAXIMAL = _Kind(
     ops=_Levels,
-    start=lambda w, leaf: {"plus": w, "open": 0, "closed": None},
+    states=("plus", "open", "closed"),
+    start=lambda w, leaf: (w, 0, None),
     table={
         True: {
             "plus": (("plus", ("plus",)),),
@@ -413,8 +548,8 @@ _MAXIMAL = _Kind(
             "closed": (("closed", ("open", "closed")),),
         },
     },
-    views=lambda ops, acc, w: {**acc, "addable": ops.addable(acc["open"], w)},
     view_state={"plus": "plus", "open": "open", "addable": "open", "closed": "closed"},
+    addable=("addable",),
 )
 
 # Weak closure on an out-rooted tree hung from its sink, so every arc
@@ -426,7 +561,8 @@ _MAXIMAL = _Kind(
 # every choice of them, so plus is that join moved up by w.
 _WEAK = _Kind(
     ops=lambda weights, budget: _Bits,
-    start=lambda w, leaf: {"plus": w, "all_plus": 0, "some_minus": 0 if leaf else None},
+    states=("plus", "all_plus", "some_minus"),
+    start=lambda w, leaf: (w, 0, 0 if leaf else None),
     table={
         False: {
             "plus": (("plus", ("minus", "plus")),),
@@ -437,7 +573,6 @@ _WEAK = _Kind(
             ),
         },
     },
-    views=lambda ops, acc, w: {"plus": acc["plus"], "minus": acc["some_minus"]},
     view_state={"plus": "plus", "minus": "some_minus"},
     shifted={"plus": ("all_plus", "some_minus")},
 )
@@ -451,71 +586,62 @@ class _TreeDP:
     state ``plus`` leaves them unconstrained, and ``answer`` is its
     ``plus`` vector.  A node's vectors have length min(cap, subtree
     weight) + 1, as no selection in the subtree weighs more, and a
-    child's vectors are never longer than its father's.
+    child's vectors are never longer than its father's.  Accumulators,
+    steps and views are lists indexed as the compiled tables of the kind.
     """
 
     def __init__(self, g: Digraph, weights, cap: int, kind: _Kind, starts: Iterable[int]):
         self.kind = kind
         self.ops = ops = kind.ops(weights, cap)
         self.root = g.n
-        self.weights = list(weights) + [0]
-        self.arcs = set(g.arcs)
-        self.kids: dict[int, list[int]] = {self.root: []}
-        order: list[int] = []
-        for start, pre, children in _component_orders(g, starts):
-            self.kids[self.root].append(start)
-            for v in pre:
-                self.kids[v] = sorted(children[v])
-            order.extend(reversed(pre))
-        order.append(self.root)
-        size: dict[int, int] = {}
+        self.weights = w = list(weights) + [0]
+        kids, order = _hang(g, starts)
+        self.kids = kids
+        size = [0] * (g.n + 1)
         # Per node: the accumulators before each child, for the traceback.
-        self.steps: dict[int, list[dict]] = {}
-        self.views: dict[int, dict] = {}
+        self.steps: list = [None] * (g.n + 1)
+        self.views: list = [None] * (g.n + 1)
         for v in order:
-            sub = self.weights[v] + sum(size[u] - 1 for u in self.kids[v])
+            sub = w[v]
+            for u, _ in kids[v]:
+                sub += size[u] - 1
             size[v] = length = min(cap, sub) + 1
-            acc = {state: ops.start(length, at) for state, at in self._spec(v).items()}
+            acc = [ops.start(length, at) for at in kind.start(w[v], not kids[v])]
             steps = []
-            for u in self.kids[v]:
-                table = kind.table[(v, u) in self.arcs]
+            for u, up in kids[v]:
                 child = self.views[u]
+                joins = [
+                    child[group[0]] if len(group) == 1 else ops.join([child[x] for x in group])
+                    for group in kind.joins[up]
+                ]
                 steps.append(acc)
-                acc = {
-                    dest: ops.join(
-                        [
-                            ops.merge(acc[src], ops.join([child[x] for x in names]), length)
-                            for src, names in table[dest]
-                        ]
-                    )
-                    for dest in acc
-                    if dest not in kind.shifted
-                }
-                for dest, parts in kind.shifted.items():
-                    acc[dest] = ops.shift(ops.join([acc[p] for p in parts]), self.weights[v], length)
+                acc = ops.step(acc, joins, kind.rows[up], length)
+                for dest, parts in kind.shift:
+                    acc[dest] = ops.shift(ops.join([acc[p] for p in parts]), w[v], length)
             self.steps[v] = steps
-            self.views[v] = kind.views(ops, acc, self.weights[v])
-        self.answer = acc["plus"]
-
-    def _spec(self, v: int) -> dict[str, Optional[int]]:
-        return self.kind.start(self.weights[v], not self.kids[v])
+            view = [acc[s] for s in kind.views]
+            for x in kind.cut:
+                view[x] = ops.addable(view[x], w[v])
+            self.views[v] = view
+        self.answer = acc[0]
 
     def witness(self, b: int, level) -> set[int]:
         """A selection of weight b whose virtual-root entry is set at
-        ``level`` (None for bits), read with an explicit stack."""
+        ``level`` (None for bits), read with an explicit stack.  State 0
+        is ``plus``."""
+        kind, split, views = self.kind, self.ops.split, self.views
         out: set[int] = set()
-        stack = [(self.root, "plus", b)]
+        stack = [(self.root, 0, b)]
         while stack:
             v, state, rem = stack.pop()
-            if state == "plus" and v != self.root:
+            if state == 0 and v != self.root:
                 out.add(v)
-            for u, left in zip(reversed(self.kids[v]), reversed(self.steps[v])):
-                pairs = self.kind.table[(v, u) in self.arcs][state]
-                a, state, view = self.ops.split(left, pairs, self.views[u], rem, level)
-                stack.append((u, self.kind.view_state[view], rem - a))
+            for (u, up), left in zip(reversed(self.kids[v]), reversed(self.steps[v])):
+                a, state, view = split(left, kind.trace[up][state], views[u], rem, level)
+                stack.append((u, kind.views[view], rem - a))
                 rem = a
             # A start vector holds ``one`` at its single weight only.
-            assert self._spec(v)[state] == rem, "corrupt DP table"
+            assert kind.start(self.weights[v], not self.kids[v])[state] == rem, "corrupt DP table"
         return out
 
 

@@ -12,10 +12,16 @@ predicates and condensation, so that its witnesses pin the current ones.
 ``brute_force``, kept verbatim to pin the one that reads the boolean
 table.  ``emit_instance_reference`` is the earlier list-and-join
 ``emit_instance``, kept verbatim to pin the chunked instance writes.
+``LevelsReference`` is the earlier list-per-level score algebra of the
+maximal tree DP, kept verbatim but for its shift-OR, which is the plain
+loop ``shift_or_reference``, to pin the run-length one.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import operator
 from typing import Iterable, Optional
 
 import numpy as np
@@ -256,6 +262,54 @@ def lexicographic_first_oracle(pool: np.ndarray) -> int:
         chosen |= int(first)
         pool = pool[low == first] ^ first
     return chosen
+
+
+def shift_or_reference(a: int, b: int, nbits: int) -> int:
+    """The OR of b << s over the set bits s of a, cut to nbits bits."""
+    out = 0
+    for s in range(a.bit_length()):
+        if (a >> s) & 1:
+            out |= b << s
+    return out & ((1 << nbits) - 1)
+
+
+class LevelsReference:
+    """(max, min) score vectors as one bitset per level: bit b of level j
+    is set iff a selection of weight b scores at least ``thresholds[j]``,
+    the distinct weights up to the budget B, then B + 1."""
+
+    def __init__(self, weights, budget: int):
+        self.thresholds = sorted({w for w in weights if w <= budget}) + [budget + 1]
+
+    @staticmethod
+    def merge(a: list[int], b: list[int], size: int) -> list[int]:
+        """min(x, y) >= t iff x >= t and y >= t: shift-OR per level, run
+        once per run of equal neighbouring level pairs."""
+        out, last = [], None
+        for pair in zip(a, b):
+            if pair != last:
+                last, vec = pair, shift_or_reference(*pair, size)
+            out.append(vec)
+        return out
+
+    @staticmethod
+    def join(vectors) -> list[int]:
+        return functools.reduce(lambda a, b: list(map(operator.or_, a, b)), vectors)
+
+    def addable(self, vec: list[int], w: int) -> list[int]:
+        """min(vec, w): the levels whose threshold is above w emptied."""
+        k = bisect.bisect_right(self.thresholds, w)
+        return vec[:k] + [0] * (len(vec) - k)
+
+    def best(self, answer: list[int], budget: int) -> tuple[int, int]:
+        """The smallest weight b whose score exceeds B - b, and the level
+        of B + 1 - b.  Level j holds such a b iff b >= B + 1 - t_j."""
+        b = min(
+            lo + (hits & -hits).bit_length() - 1
+            for t, vec in zip(self.thresholds, answer)
+            if (hits := vec >> (lo := budget + 1 - t))
+        )
+        return b, bisect.bisect_left(self.thresholds, budget + 1 - b)
 
 
 def subset_sums(values, cap: int) -> set[int]:

@@ -29,7 +29,7 @@ from dss import (
     verify_solution,
 )
 from dss import _kernels
-from dss.exact import _STRONG, _WEAK, _Bits, _Levels, _lexicographic_first
+from dss.exact import _MAXIMAL, _STRONG, _WEAK, _Bits, _Levels, _lexicographic_first
 from dss.instance import MAX_INT
 from test_graph import digraphs
 
@@ -414,11 +414,12 @@ def _split_by_candidate(left, pairs, views, rem):
     return None
 
 
+# (kind, traceback pairs of one state and arc direction) of every kind.
 _SPLIT_PAIRS = [
-    pairs
-    for kind in (_STRONG, _WEAK)
-    for table in kind.table.values()
-    for pairs in table.values()
+    (kind, pairs)
+    for kind in (_STRONG, _MAXIMAL, _WEAK)
+    for trace in kind.trace.values()
+    for pairs in trace
 ]
 
 
@@ -433,18 +434,18 @@ _BITSETS = st.one_of(
 class TestBitSplit:
     @given(
         st.sampled_from(_SPLIT_PAIRS),
-        st.lists(_BITSETS, min_size=5, max_size=5),
+        st.lists(_BITSETS, min_size=7, max_size=7),
         st.integers(1, 40),
         st.integers(0, 45),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_per_candidate_loop(self, pairs, raw, size, rem):
-        """Views are never longer than the accumulators (``size`` bits
+    def test_matches_per_candidate_loop(self, case, raw, size, rem):
+        """Accumulators and views are lists indexed by state and view.
+        Views are never longer than the accumulators (``size`` bits
         against 40), and rem may exceed both."""
-        sources = sorted({src for src, _ in pairs})
-        names = sorted({name for _, group in pairs for name in group})
-        left = {src: raw[i] for i, src in enumerate(sources)}
-        views = {name: raw[-1 - i] & ((1 << size) - 1) for i, name in enumerate(names)}
+        kind, pairs = case
+        left = raw[: len(kind.start(0, True))]
+        views = [raw[-1 - i] & ((1 << size) - 1) for i in range(len(kind.views))]
         expect = _split_by_candidate(left, pairs, views, rem)
         if expect is None:
             with pytest.raises(AssertionError):
@@ -453,9 +454,38 @@ class TestBitSplit:
             assert _Bits.split(left, pairs, views, rem, None) == expect
 
 
+def _runs_of(levels):
+    """Nested per-level bitsets as runs [(end, bits), ...], empty levels
+    left out."""
+    runs = []
+    for j, bits in enumerate(levels):
+        if not bits:
+            break
+        if runs and runs[-1][1] == bits:
+            runs[-1] = (j + 1, bits)
+        else:
+            runs.append((j + 1, bits))
+    return runs
+
+
+def _levels_of(runs, count):
+    """Runs back as ``count`` per-level bitsets, after checking that they
+    are in the one form ``_Levels`` builds: rising ends up to ``count``,
+    no empty run and no two equal neighbours."""
+    ends = [end for end, _ in runs]
+    assert ends == sorted(set(ends)) and all(0 < end <= count for end in ends)
+    assert all(bits for _, bits in runs)
+    assert all(x[1] != y[1] for x, y in zip(runs, runs[1:]))
+    out, lo = [], 0
+    for end, bits in runs:
+        out += [bits] * (end - lo)
+        lo = end
+    return out + [0] * (count - lo)
+
+
 def _encode_scores(ops, scores):
-    """Score list (-1: unreachable) as levels: bit i of level j is set iff
-    scores[i] >= thresholds[j]."""
+    """Score list (-1: unreachable) as per-level bitsets: bit i of level
+    j is set iff scores[i] >= thresholds[j]."""
     return [
         sum(1 << i for i, s in enumerate(scores) if s >= t) for t in ops.thresholds
     ]
@@ -488,7 +518,8 @@ class TestLevelsMerge:
 
     def _merge(self, a, b):
         n = len(a)
-        out = _LEVELS.merge(_encode_scores(_LEVELS, a), _encode_scores(_LEVELS, b), n)
+        runs = [_runs_of(_encode_scores(_LEVELS, x)) for x in (a, b)]
+        out = _levels_of(_LEVELS.merge(*runs, n), len(_LEVELS.thresholds))
         return _decode_scores(_LEVELS, out, n)
 
     def test_delta_identity(self):
@@ -512,6 +543,80 @@ class TestLevelsMerge:
     def test_shorter_b_matches_reference(self, xs, ys):
         a, b = xs + ys, ys  # len(b) < len(a)
         assert self._merge(a, b) == _maxmin_reference(a, b, len(a))
+
+
+@st.composite
+def _level_cases(draw):
+    """Node weights and a budget (so thresholds, some equal or above B),
+    a vector length n, and five score vectors of that length as runs and
+    as per-level lists, with the list-per-level reference algebra."""
+    weights = draw(st.lists(st.integers(0, 14), max_size=7))
+    budget = draw(st.integers(0, 12))
+    n = draw(st.integers(1, 12))
+    ops, ref = _Levels(weights, budget), oracles.LevelsReference(weights, budget)
+    scores = st.lists(st.integers(-1, budget + 1), min_size=n, max_size=n)
+    levels = [_encode_scores(ops, draw(scores)) for _ in range(5)]
+    return ops, ref, n, levels, [_runs_of(x) for x in levels]
+
+
+class TestLevelRuns:
+    """The run-length ``_Levels`` decodes to the same per-level lists as
+    ``oracles.LevelsReference``, the list-per-level algebra it replaced,
+    and reads one level for ``split``."""
+
+    @given(_level_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_merge(self, case):
+        ops, ref, n, levels, runs = case
+        count = len(ops.thresholds)
+        for i in range(4):
+            got = ops.merge(runs[i], runs[i + 1], n)
+            assert _levels_of(got, count) == ref.merge(levels[i], levels[i + 1], n)
+
+    @given(_level_cases(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_join(self, case, k):
+        ops, ref, n, levels, runs = case
+        assert _levels_of(ops.join(runs[:k]), len(ops.thresholds)) == ref.join(levels[:k])
+
+    @given(_level_cases(), st.integers(0, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_addable(self, case, w):
+        ops, ref, n, levels, runs = case
+        for vec, runs_vec in zip(levels, runs):
+            got = ops.addable(runs_vec, w)
+            assert _levels_of(got, len(ops.thresholds)) == ref.addable(vec, w)
+
+    @given(_level_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_best(self, case):
+        ops, ref, n, levels, runs = case
+        budget = ops.thresholds[-1] - 1
+        for vec, runs_vec in zip(levels, runs):
+            try:
+                expect = ref.best(vec, budget)
+            except ValueError:  # no weight at which the score exceeds B - b
+                with pytest.raises(ValueError):
+                    ops.best(runs_vec, budget)
+            else:
+                assert ops.best(runs_vec, budget) == expect
+
+    @given(_level_cases(), st.sampled_from(list(_MAXIMAL.trace.values())), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_reads_one_level(self, case, trace, data):
+        ops, ref, n, levels, runs = case
+        pairs = data.draw(st.sampled_from(trace))
+        level = data.draw(st.integers(0, len(ops.thresholds) - 1))
+        rem = data.draw(st.integers(0, 2 * n))
+        left, views = runs[:3], [runs[3], runs[4], ops.addable(runs[3], 3), runs[0]]
+        flat = [_levels_of(x, len(ops.thresholds))[level] for x in left + views]
+        try:
+            expect = _Bits.split(flat[:3], pairs, flat[3:], rem, None)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                ops.split(left, pairs, views, rem, level)
+        else:
+            assert ops.split(left, pairs, views, rem, level) == expect
 
 
 class TestDeepTrees:

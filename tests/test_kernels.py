@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from dss import _kernels
 
 
@@ -72,6 +74,36 @@ class TestShiftOr:
             if (a >> i) & 1:
                 ref |= b << i
         assert _kernels.shift_or(a, b, n) == ref & ((1 << n) - 1)
+
+
+# Operands that take shift_or's fast path: none, or one bit (bit 0 too).
+_SHORT = st.one_of(st.just(0), st.integers(0, 80).map(lambda s: 1 << s))
+
+
+class TestShiftOrFastPath:
+    """A zero or one-bit operand on either side skips the run scan."""
+
+    @given(_SHORT, st.integers(0, 2**80), st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_either_side(self, short, other, nbits):
+        ref = oracles.shift_or_reference(short, other, nbits)
+        assert _kernels.shift_or(short, other, nbits) == ref
+        assert _kernels.shift_or(other, short, nbits) == ref
+
+    @pytest.mark.parametrize("other", [0, 1, 0b1011, 2**40 - 1])
+    def test_bit_zero_is_identity(self, other):
+        assert _kernels.shift_or(1, other, 41) == other
+        assert _kernels.shift_or(other, 1, 41) == other
+
+    @pytest.mark.parametrize("other", [0b1, 0b101, 0b111])
+    def test_cut_keeps_bit_nbits_minus_one(self, other):
+        """A one bit at s moves bit 0 of the other operand to s: kept at
+        s = nbits - 1, dropped at s = nbits."""
+        for a, b in ((1 << 9, other), (other, 1 << 9)):
+            assert _kernels.shift_or(a, b, 10) == (1 << 9)
+            assert _kernels.shift_or(a, b, 9) == 0
+        assert _kernels.shift_or(1 << 4, 1 << 5, 10) == 1 << 9
+        assert _kernels.shift_or(1 << 5, 1 << 5, 10) == 0
 
 
 class TestReverseBits:
