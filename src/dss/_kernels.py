@@ -74,10 +74,11 @@ def shift_or(a: int, b: int, nbits: int) -> int:
         a, b = b, a
     out = 0
     while a:
-        s = (a & -a).bit_length() - 1
+        low = a & -a
+        s = low.bit_length() - 1
         # Adding the lowest bit clears the lowest run [s, end) and sets
         # bit end, now the lowest.
-        a += 1 << s
+        a += low
         top = a & -a
         a ^= top
         r = top.bit_length() - 1 - s

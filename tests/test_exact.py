@@ -565,7 +565,7 @@ class TestLevelRuns:
     and reads one level for ``split``."""
 
     @given(_level_cases())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_merge(self, case):
         ops, ref, n, levels, runs = case
         count = len(ops.thresholds)
@@ -574,13 +574,13 @@ class TestLevelRuns:
             assert _levels_of(got, count) == ref.merge(levels[i], levels[i + 1], n)
 
     @given(_level_cases(), st.integers(1, 5))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_join(self, case, k):
         ops, ref, n, levels, runs = case
         assert _levels_of(ops.join(runs[:k]), len(ops.thresholds)) == ref.join(levels[:k])
 
     @given(_level_cases(), st.integers(0, 16))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_addable(self, case, w):
         ops, ref, n, levels, runs = case
         for vec, runs_vec in zip(levels, runs):
@@ -588,7 +588,7 @@ class TestLevelRuns:
             assert _levels_of(got, len(ops.thresholds)) == ref.addable(vec, w)
 
     @given(_level_cases())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_best(self, case):
         ops, ref, n, levels, runs = case
         budget = ops.thresholds[-1] - 1
@@ -602,7 +602,7 @@ class TestLevelRuns:
                 assert ops.best(runs_vec, budget) == expect
 
     @given(_level_cases(), st.sampled_from(list(_MAXIMAL.trace.values())), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_split_reads_one_level(self, case, trace, data):
         ops, ref, n, levels, runs = case
         pairs = data.draw(st.sampled_from(trace))
