@@ -24,7 +24,13 @@ from one topological order the descendant mask ``desc[v]`` (v included)
 and the strict ancestor mask ``anc[v]``.  The weight of a mask is
 a weighted popcount over one bit plane per bit of the weights, and the
 sources (sinks) of a mask are found by OR-ing the in- (out-) neighbour
-relation over the mask's bytes through per-byte lookup tables.
+relation over the mask's bytes through per-byte lookup tables.  The
+maximal minimization numbers the DAG's nodes by (weight, id) first, so
+the lightest sink of the unselected part, smallest id on ties, is the
+lowest set bit of its sink mask.  The mask starts from the byte tables;
+adding a sink z clears bit z and sets each in-neighbour of z with no
+out-neighbour left unselected.  Seeds are still enumerated by original
+id (``_Reach.seeds`` maps them to bits), and the result is mapped back.
 
 Convexity: for the maximization, ``avail`` (the nodes the greedy may
 still add) starts as the complement of the seed's descendants (a
@@ -43,11 +49,17 @@ Skipped seeds, none of which can change the output:
   kernel) give the same ``(base, avail)`` and the same greedy result.  The
   kernel was enumerated earlier, and only a strictly larger weight
   replaces the incumbent.
-- maximal minimization: the greedy state is the unselected set alone, so
-  a seed whose start state ``full & ~base`` was already seen repeats an
-  earlier result, and only a strictly smaller weight replaces the
-  incumbent.  Seeds with an arc inside are such repeats and are never
-  built.
+- maximal minimization: the greedy state is the unselected set alone
+  (the weight is that of its complement) and one step is a function of
+  it, so a run that reaches a state an earlier run passed through ends
+  where that run ended.  By induction over runs, that end was weighed
+  against an earlier incumbent: the earlier run either ran to it or
+  itself merged into a still earlier run.  The incumbent only gets
+  lighter and only a strictly smaller weight replaces it, so the run
+  stops there.  Recorded are every start state ``full & ~base`` and the
+  states whose size is a multiple of ``max(4, n // 8)``, which a merged
+  run meets within that many steps.  Seeds with an arc inside start
+  where a smaller seed did and are never built.
 - maximization, exact fill: the seed loop ends once the incumbent weighs
   exactly B.  No greedy result passes B, so no later seed weighs strictly
   more, and only a strictly larger weight replaces the incumbent.
@@ -59,7 +71,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import Digraph, _topological_order, condense, mask_nodes, neighbour_masks
 from .instance import ProblemKind, Solution, WeightedInstance
@@ -139,13 +151,16 @@ class _Reach:
     def sinks(self, m: int) -> int:
         return m & ~self._union(self._pred_of, m)
 
-    def seeds(self, k: int, budget: int) -> Iterator[tuple[int, int, int]]:
+    def seeds(
+        self, k: int, budget: int, label: Sequence[int]
+    ) -> Iterator[tuple[int, int, int]]:
         """``(seed, base, base weight)`` for every seed of at most k nodes
         with no arc inside and ``base = descendants(seed)`` within budget,
-        by increasing size, then lexicographically."""
+        by increasing size, then lexicographically over the original ids;
+        ``label[v]`` is the bit of original node v in this DAG's masks."""
         n = len(self.desc)
         for size in range(min(k, n) + 1):
-            for combo in itertools.combinations(range(n), size):
+            for combo in itertools.combinations(label, size):
                 seed = base = near = 0
                 for v in combo:
                     if near >> v & 1:
@@ -160,18 +175,19 @@ class _Reach:
 
 
 def _condensed_view(inst: WeightedInstance):
-    """(reach, expand) with expand mapping a component mask back to nodes."""
+    """(dag, topological order, weights, expand) with expand mapping a
+    component mask back to nodes."""
     g = inst.graph
     order = _topological_order(g)
     if len(order) == g.n:
-        return _Reach(g, order, list(inst.weights)), lambda comps: set(mask_nodes(comps))
+        return g, order, list(inst.weights), lambda comps: set(mask_nodes(comps))
     cond = condense(g, inst.weights)
 
     def expand(comps):
         return {v for c in mask_nodes(comps) for v in cond.members[c]}
 
     dag = cond.dag
-    return _Reach(dag, _topological_order(dag), list(cond.component_weight)), expand
+    return dag, _topological_order(dag), list(cond.component_weight), expand
 
 
 def _fill_max(r: _Reach, budget: int, sol: int, sol_w: int, avail: int) -> tuple[int, int]:
@@ -201,9 +217,10 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
         raise ValueError("k must be nonnegative")
     if inst.kind is not ProblemKind.SSG:
         raise ValueError("ptas_ssg expects the maximization kind")
-    r, expand = _condensed_view(inst)
+    g, order, weights, expand = _condensed_view(inst)
+    r = _Reach(g, order, weights)
     best, best_w = 0, -1
-    for seed, base, base_w in r.seeds(k, inst.budget):
+    for seed, base, base_w in r.seeds(k, inst.budget, range(g.n)):
         up = 0
         for v in mask_nodes(seed):
             up |= r.anc[v]
@@ -221,33 +238,64 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
     )
 
 
+def _fill_min(r: _Reach, budget: int, avail: int, w: int, seen: set[int]):
+    """Add the lowest sink of ``avail`` while it fits, on a ``_Reach``
+    numbered by (weight, id), where the lowest sink is the lightest;
+    returns the final (avail, weight), or None once the run reaches a
+    state in ``seen``.  Records in ``seen`` the start state and the states
+    whose size is a multiple of ``max(4, n // 8)``."""
+    if avail in seen:
+        return None
+    seen.add(avail)
+    weights, succ, pred = r.weights, r.succ, r.pred
+    step = max(4, len(weights) // 8)
+    left = avail.bit_count()
+    sinks = r.sinks(avail)
+    while sinks:
+        low = sinks & -sinks
+        z = low.bit_length() - 1
+        if w + weights[z] > budget:
+            break
+        w += weights[z]
+        avail ^= low
+        sinks ^= low
+        up = pred[z] & avail
+        while up:
+            p = up & -up
+            if not succ[p.bit_length() - 1] & avail:
+                sinks |= p
+            up ^= p
+        left -= 1
+        if left % step == 0:
+            if avail in seen:
+                return None
+            seen.add(avail)
+    return avail, w
+
+
 def ptas_maximal_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
     """Seed-enumeration PTAS for the maximal strong-closure minimization."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if inst.kind is not ProblemKind.MAXIMAL_SSG:
         raise ValueError("ptas_maximal_ssg expects the maximal kind")
-    r, expand = _condensed_view(inst)
-    weights = r.weights
+    g, order, weights, expand = _condensed_view(inst)
+    node_of = sorted(range(g.n), key=lambda v: (weights[v], v))
+    rank = [0] * g.n
+    for i, v in enumerate(node_of):
+        rank[v] = i
+    r = _Reach(
+        Digraph(g.n, [(rank[u], rank[v]) for u, v in g.arcs]),
+        [rank[v] for v in order],
+        [weights[v] for v in node_of],
+    )
     best, best_w = r.full, None
     seen = set()
-    for _seed, base, w in r.seeds(k, inst.budget):
-        avail = r.full & ~base
-        if avail in seen:
-            continue
-        seen.add(avail)
-        heap = [(weights[v], v) for v in mask_nodes(r.sinks(avail))]
-        heapq.heapify(heap)
-        while heap and w + heap[0][0] <= inst.budget:
-            wz, z = heapq.heappop(heap)
-            avail &= ~(1 << z)
-            w += wz
-            for p in mask_nodes(r.pred[z] & avail):
-                if not r.succ[p] & avail:
-                    heapq.heappush(heap, (weights[p], p))
-        if best_w is None or w < best_w:
-            best, best_w = r.full & ~avail, w
-    nodes = expand(best)
+    for _seed, base, w in r.seeds(k, inst.budget, rank):
+        end = _fill_min(r, inst.budget, r.full & ~base, w, seen)
+        if end is not None and (best_w is None or end[1] < best_w):
+            best, best_w = r.full & ~end[0], end[1]
+    nodes = expand(sum(1 << node_of[i] for i in mask_nodes(best)))
     guarantee = Fraction(2) if k == 0 else Fraction(k + 1, k)
     return ApproxResult(
         Solution(frozenset(nodes), inst.weight_of(nodes)),

@@ -15,25 +15,40 @@ table.  ``emit_instance_reference`` is the earlier list-and-join
 ``LevelsReference`` is the earlier list-per-level score algebra of the
 maximal tree DP, kept verbatim but for its shift-OR, which is the plain
 loop ``shift_or_reference``, to pin the run-length one.
+``ptas_maximal_ssg_reference`` is the earlier heap-driven
+``ptas_maximal_ssg``, kept verbatim but for building its own ``_Reach``,
+to pin the rank-ordered one on graphs too large for
+``ptas_maximal_ssg_oracle``.
 """
 from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
 import operator
+from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
-from dss import Digraph, GraphError, ProblemKind, Solution, SolverError, WeightedInstance
+from dss import (
+    ApproxResult,
+    Digraph,
+    GraphError,
+    ProblemKind,
+    Solution,
+    SolverError,
+    WeightedInstance,
+)
+from dss.approx import _condensed_view, _Reach
 from dss.constraints import (
     _maximality_strong,
     _maximality_weak,
     check_digraph_closure,
     check_weak_closure,
 )
-from dss.graph import condense, is_dag, is_tournament
+from dss.graph import condense, is_dag, is_tournament, mask_nodes
 
 
 def reference_digraph(n: int, arcs) -> Digraph:
@@ -453,3 +468,36 @@ def ptas_maximal_ssg_oracle(n: int, arcs, weights, budget: int, k: int) -> froze
             if best is None or w < best_w:
                 best, best_w = sol, w
     return frozenset(best)
+
+
+def ptas_maximal_ssg_reference(inst: WeightedInstance, k: int) -> ApproxResult:
+    """The heap-driven maximal-ssg PTAS: a heap of ``(weight, id)`` over
+    the sinks of the unselected part, and a seed skipped only when its
+    start state was seen before."""
+    g, order, weights, expand = _condensed_view(inst)
+    r = _Reach(g, order, weights)
+    best, best_w = r.full, None
+    seen = set()
+    for _seed, base, w in r.seeds(k, inst.budget, range(g.n)):
+        avail = r.full & ~base
+        if avail in seen:
+            continue
+        seen.add(avail)
+        heap = [(weights[v], v) for v in mask_nodes(r.sinks(avail))]
+        heapq.heapify(heap)
+        while heap and w + heap[0][0] <= inst.budget:
+            wz, z = heapq.heappop(heap)
+            avail &= ~(1 << z)
+            w += wz
+            for p in mask_nodes(r.pred[z] & avail):
+                if not r.succ[p] & avail:
+                    heapq.heappush(heap, (weights[p], p))
+        if best_w is None or w < best_w:
+            best, best_w = r.full & ~avail, w
+    nodes = expand(best)
+    guarantee = Fraction(2) if k == 0 else Fraction(k + 1, k)
+    return ApproxResult(
+        Solution(frozenset(nodes), inst.weight_of(nodes)),
+        k,
+        guarantee,
+    )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import make_instance
 from oracles import (
     descendants_oracle,
     ptas_maximal_ssg_oracle,
+    ptas_maximal_ssg_reference,
     ptas_ssg_oracle,
 )
 
@@ -175,6 +177,42 @@ class TestPtasMaximalSSG:
             assert sol.weight == brute_force(inst).weight
             assert verify_solution(inst, sol).feasible
 
+    def test_matches_heap_reference(self):
+        # The set oracle is O(n^4) at k = 3, too slow past n ~ 25; the
+        # heap-driven reference covers n = 30-80.  weight_max 0 gives zero
+        # weights, and every fifth case has all weights equal, so every
+        # sink ties and the id alone orders them.
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(30, 80)
+            inst = random_instance(
+                (GraphClass.DAG, GraphClass.GENERAL)[seed % 2],
+                n,
+                weight_max=rng.choice([0, 1, 10, 10**6]),
+                budget_rule=("fraction", rng.choice([0.2, 0.5])),
+                seed=seed,
+                kind=ProblemKind.MAXIMAL_SSG,
+                arc_prob=rng.uniform(1, 4) / n,
+            )
+            if seed % 5 == 0:
+                inst = WeightedInstance(inst.graph, (7,) * n, 7 * rng.randint(0, n), inst.kind)
+            for k in (1, 2):
+                got = ptas_maximal_ssg(inst, k)
+                assert got == ptas_maximal_ssg_reference(inst, k), f"seed {seed} k={k}"
+
+    def test_peak_memory(self):
+        # The states recorded for the stop rule take about half of it.
+        inst = random_instance(
+            GraphClass.DAG, 100, seed=1, arc_prob=0.05, kind=ProblemKind.MAXIMAL_SSG
+        )
+        tracemalloc.start()
+        try:
+            ptas_maximal_ssg(inst, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
 
 def _oracle_result(inst, k):
     """The ApproxResult the set-based oracle gives; general digraphs go
@@ -259,6 +297,27 @@ class TestMatchesSetOracle:
         assert descendants_oracle(6, g.arcs, {0, 2}) == descendants_oracle(6, g.arcs, {0})
         _assert_matches_oracle(g, weights, budget, range(7), "skip rules")
 
+    def test_merged_runs_stop(self):
+        # Arc 1 -> 0 and eight unit weights, B = 4, so (weight, id) ranks
+        # are the ids and states of 4 or 0 unselected nodes are recorded.
+        # The empty seed's greedy takes 0, 1, 2, 3 and records {4, .., 7}
+        # mid-way.  Seed {0} starts at {1, .., 7}, takes 1, 2, 3 and
+        # reaches {4, .., 7}: it merges there and would end on the
+        # incumbent {0, 1, 2, 3}, a tie.  Seed {1} (descendants {0, 1})
+        # merges at the same state after taking 2 and 3.
+        g = Digraph(8, [(1, 0)])
+        weights = (1,) * 8
+        budget = 4
+        inst = WeightedInstance(g, weights, budget, ProblemKind.MAXIMAL_SSG)
+        r = approx._Reach(g, approx._topological_order(g), list(weights))
+        seen = set()
+        assert approx._fill_min(r, budget, r.full, 0, seen) == (0b11110000, 4)
+        assert 0b11110000 in seen
+        assert approx._fill_min(r, budget, r.full & ~0b1, 1, seen) is None
+        assert approx._fill_min(r, budget, r.full & ~0b11, 2, seen) is None
+        _assert_matches_oracle(g, weights, budget, range(9), "merged runs")
+        assert ptas_maximal_ssg(inst, 2).solution == Solution(frozenset(range(4)), 4)
+
     def test_first_exact_fill_wins(self):
         # No arc but 4 -> 3, weights (5, 4, 3, 3, 0), B = 7.  The empty
         # seed's greedy takes node 0 and stops at 5; seeds {1} and {2} fill
@@ -268,9 +327,9 @@ class TestMatchesSetOracle:
         weights = (5, 4, 3, 3, 0)
         budget = 7
         inst = WeightedInstance(g, weights, budget, ProblemKind.SSG)
-        r, _ = approx._condensed_view(inst)
+        r = approx._Reach(g, approx._topological_order(g), list(weights))
         fills = {}
-        for seed, base, base_w in r.seeds(3, budget):
+        for seed, base, base_w in r.seeds(3, budget, range(5)):
             up = 0
             for v in mask_nodes(seed):
                 up |= r.anc[v]
