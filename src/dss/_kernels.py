@@ -19,14 +19,15 @@ Kernels:
   out-neighbours selected", plus its total weight.
 - ``weak_closed_subsets(in_masks, weights)``: same for the weak rule
   "all in-neighbours selected forces the node".
-- ``weak_completions(in_masks)``: for every bitmask, the bitmask of its
-  completion under the weak rule.
+- ``inclusion_maximal(closed)``: clears, in place, every set entry of a
+  boolean table over all bitmasks that another set entry strictly
+  contains.  Fed the feasible masks, it leaves the maximal ones.
 
-These three are the brute-force oracle.  Bit i of a mask is node i, and
+These four are the brute-force oracle.  Bit i of a mask is node i, and
 the neighbour masks carry no self bit (the graphs have no loops).  The
-tables are filled in place by doubling: the masks [2^i, 2^(i+1)) are the
-masks [0, 2^i) plus node i, so each step copies the prefix and then
-applies only the rules whose highest node is i.
+closure tables are filled in place by doubling: the masks [2^i, 2^(i+1))
+are the masks [0, 2^i) plus node i, so each step copies the prefix and
+then applies only the rules whose highest node is i.
 
 Both closure rules are lists of forbidden patterns (ones, zeros): a mask
 is not closed when it holds every bit of ``ones`` and no bit of
@@ -37,17 +38,24 @@ pattern matches form a sub-cube: reshaped to (2,)*i, the half table
 [0, 2^i) or [2^i, 2^(i+1)) is one axis per node below i, and fixing the
 pattern's axes to 0 or 1 leaves a strided view of exactly those masks
 (``_cube``).  So each pattern, one per arc or per weak node, is one
-``False`` write of 2^(t-k) entries for k fixed bits and highest node t,
-and a completion rule is one write that ORs the forced bit in.  No mask index array and no per-rule temporary is built, so the
-closure tables hold a bool and a weight per mask, 1 + w bytes, where the
-weight table takes the dtype of ``weights``: ``weight_dtype`` picks the
+``False`` write of 2^(t-k) entries for k fixed bits and highest node t.
+No mask index array and no per-rule temporary is built, so the closure
+tables hold a bool and a weight per mask, 1 + w bytes, where the weight
+table takes the dtype of ``weights``: ``weight_dtype`` picks the
 narrowest of int16, int32 and int64 that holds the total weight, so w is
-2 for totals below 2^15.  The completions take an int32 per mask up to
-n = 31 (int64 above), 4 bytes, with one more such table alive during the
-pointer doubling, which adds ceil(log2 n) + 1 gathers of 2^n at most.  A
-view has one axis per node, and numpy 1.x allows 32 axes (2.x 64), so
-the kernels work up to n = 33; ``exact.DEFAULT_BRUTE_CAP`` is 20 and the
-tests go to 24.
+2 for totals below 2^15.  A view has one axis per node, and numpy 1.x
+allows 32 axes (2.x 64), so the kernels work up to n = 33;
+``exact.DEFAULT_BRUTE_CAP`` is 20 and the tests go to 24.
+
+``inclusion_maximal`` packs the table 64 masks per uint64 word and takes
+the OR over supersets (a zeta transform) in place: per node below 6 one
+shift-and-mask step inside the words, per node from 6 up one OR of the
+upper half of a strided view into the lower.  The same steps applied
+once more, into a second packed table, give for each mask whether some
+set entry lies strictly above it; the complement is ANDed into the table
+``BLOCK`` masks at a time.  That is three packed tables of 2^n / 8 bytes
+(the transform, its shift temporary and the result) plus two block-sized
+temporaries, about 0.5 MB at n = 20, in 2n passes over 2^n / 64 words.
 """
 from __future__ import annotations
 
@@ -164,34 +172,61 @@ def weak_closed_subsets(in_masks, weights):
     return _forbid(in_masks.shape[0], rules, weights)
 
 
-def weak_completions(in_masks):
-    """Per mask over n nodes, the mask of its weak completion: the least
-    superset S holding every x whose in-neighbours (at least one) all lie
-    in S."""
-    n = in_masks.shape[0]
-    total = 1 << n
-    # One forcing step F(S) = S | {x : in[x] <= S}, by doubling: the term
-    # of x turns on with its highest in-neighbour.
-    step = np.empty(total, dtype=np.int32 if n <= 31 else np.int64)
-    step[0] = 0
-    rules = [[] for _ in range(n)]
-    for x in range(n):
-        m = int(in_masks[x])
-        if m:
-            rules[m.bit_length() - 1].append((x, m))
+# Per in-word bit i < 6 of a mask, the word with a one wherever bit i of
+# the position is clear.
+_LOW = [
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+]
+
+# Masks per block of a table-sized pass, so that no temporary as large
+# as a table is built.
+BLOCK = 1 << 16
+
+
+def _above(src, n, out):
+    """For each node i < n, ``out[S] |= src[S | 1 << i]`` at every mask S
+    without i, on tables packed 64 masks per word.  With ``out`` being
+    ``src`` the nodes act one after another, so the result is the OR over
+    all supersets."""
+    tmp = np.empty_like(src)
     for i in range(n):
-        h = 1 << i
-        hi = step[h : 2 * h]
-        np.bitwise_or(step[:h], h, out=hi)
-        for x, m in rules[i]:
-            _cube(hi, i, ones=m)[...] |= 1 << x
-    # Pointer doubling: F^(2^k) after k rounds.  F grows every mask and is
-    # monotone, so its iterates of S stay below the least fixpoint above
-    # S; a table T with T[T] = T holds fixpoints, so it is the completion.
-    # Every step before the fixpoint adds a node: ceil(log2 n) rounds
-    # reach it, and one more confirms it.
-    while True:
-        nxt = step[step]
-        if np.array_equal(nxt, step):
-            return step
-        step = nxt
+        if i < 6:
+            np.right_shift(src, np.uint64(1 << i), out=tmp)
+            tmp &= _LOW[i]
+            out |= tmp
+        else:
+            half = 1 << (i - 6)
+            out.reshape(-1, 2, half)[:, 0] |= src.reshape(-1, 2, half)[:, 1]
+
+
+def inclusion_maximal(closed):
+    """Clear, in place, every set entry of the boolean table ``closed``
+    (2^n entries, one per mask) that another set entry strictly
+    contains."""
+    n = closed.size.bit_length() - 1
+    # Bit b of word k is mask 64k + b.  Below n = 6 one word is padded
+    # with zeros, which no node's step reads.
+    packed = np.packbits(closed, bitorder="little")
+    if packed.size < 8:
+        packed = np.pad(packed, (0, 8 - packed.size))
+    sup = packed.view("<u8")
+    _above(sup, n, sup)
+    # Some set entry strictly above: above S by one node, then any superset.
+    above = np.zeros_like(sup)
+    _above(sup, n, above)
+    above_bytes = above.view(np.uint8)
+    for start in range(0, closed.size, BLOCK):
+        bits = np.unpackbits(
+            above_bytes[start >> 3 : (start + BLOCK) >> 3],
+            count=min(BLOCK, closed.size - start),
+            bitorder="little",
+        )
+        closed[start : start + BLOCK] &= bits == 0

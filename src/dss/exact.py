@@ -7,21 +7,17 @@
   masks of ``graph.neighbour_masks`` as int64 arrays.  The budget is cut
   to the total weight before it meets the tables.  All four kinds then
   take one answer path on the boolean table: keep the masks within the
-  budget; for the maximal kinds, list the feasible masks once as an
-  index array and clear the extendable ones; keep the masks of the best
-  weight (the largest, or for the maximal kinds the smallest); and read
-  the lexicographically first of them off the table through strided
-  views.  The budget and tie tests narrow the table in place, 2^16 masks
-  at a time, so no temporary as large as a table is built.  Measured
-  tracemalloc peaks at n = 20 (a random DAG, arc probability 0.12, total
-  weight below 2^15): 3.2 MB for ssg, ssgw and maximal-ssg, the 3.1 MB of
-  tables and little else, also when all 2^20 masks tie; 17.3 MB for
-  maximal-ssgw, whose int32 completion table and its pointer-doubling
-  copy add 4 bytes per mask each.  The maximality tests run once per
-  component or node over the feasible masks: the strong kinds look for a
-  sink component of the unselected part that fits, the weak kinds read
-  the weight of the completion of each mask plus one node from a table
-  of all completions.
+  budget; for the maximal kinds, keep those that no feasible mask
+  strictly contains (``_kernels.inclusion_maximal``, the same for both
+  closure rules); keep the masks of the best weight (the largest, or
+  for the maximal kinds the smallest); and read the lexicographically
+  first of them off the table through strided views.  The budget and tie
+  tests narrow the table in place, 2^16 masks at a time, so no temporary
+  as large as a table is built.  Measured tracemalloc peaks at n = 20
+  (a random DAG, arc probability 0.12, total weight below 2^15, and also
+  when all 2^20 masks tie): 3.2 MB for ssg and ssgw, the 3.1 MB of
+  tables and little else; 3.7 MB for the maximal kinds, whose test adds
+  bit-packed tables of 2^n / 8 bytes.
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
   boolean feasibility vectors indexed by weight: reachable weights with
@@ -105,50 +101,11 @@ class CapExceeded(SolverError):
 # ---------------------------------------------------------------------------
 
 
-def _extendable_strong(
-    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, budget: int
-) -> np.ndarray:
-    """Per closed candidate mask: whether some sink component of the
-    unselected part fits the budget left (``_maximality_strong``).  A
-    closed mask holds each strongly connected component whole or not at
-    all."""
-    cond = condense(inst.graph, inst.weights)
-    comp = [sum(1 << v for v in members) for members in cond.members]
-    slack = budget - weight[cand]
-    out = np.zeros(cand.size, dtype=np.bool_)
-    for c, mask in enumerate(comp):
-        succ = 0
-        for d in cond.dag.out_adj[c]:
-            succ |= comp[d]
-        out |= (
-            ((cand & mask) == 0)
-            & ((cand & succ) == succ)
-            & (cond.component_weight[c] <= slack)
-        )
-    return out
-
-
-def _extendable_weak(
-    inst: WeightedInstance, cand: np.ndarray, weight: np.ndarray, budget: int, in_masks: np.ndarray
-) -> np.ndarray:
-    """Per weak-closed candidate mask: whether the completion of the mask
-    plus some unselected node fits the budget (``_maximality_weak``)."""
-    completion = _kernels.weak_completions(in_masks)
-    out = np.zeros(cand.size, dtype=np.bool_)
-    for x in range(inst.graph.n):
-        bit = 1 << x
-        out |= ((cand & bit) == 0) & (weight[completion[cand | bit]] <= budget)
-    return out
-
-
-_BLOCK = 1 << 16
-
-
 def _keep_where(closed: np.ndarray, weight: np.ndarray, test, value: int) -> None:
-    """``closed &= test(weight, value)``, ``_BLOCK`` masks at a time, so
-    that no temporary as large as a table sits beside the tables."""
-    for start in range(0, closed.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    """``closed &= test(weight, value)``, ``_kernels.BLOCK`` masks at a
+    time, so that no temporary as large as a table sits beside the tables."""
+    for start in range(0, closed.size, _kernels.BLOCK):
+        block = slice(start, start + _kernels.BLOCK)
         closed[block] &= test(weight[block], value)
 
 
@@ -182,21 +139,19 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
     budget = min(inst.budget, total)
     succ, pred = neighbour_masks(g)
     if inst.kind.is_weak:
-        in_masks = np.array(pred, dtype=np.int64)
-        closed, weight = _kernels.weak_closed_subsets(in_masks, weights)
+        closed, weight = _kernels.weak_closed_subsets(np.array(pred, dtype=np.int64), weights)
     else:
         closed, weight = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
     _keep_where(closed, weight, np.less_equal, budget)
     # The empty set is closed under both rules and fits any budget, so
-    # feasible sets exist, and so do maximal ones (a feasible set that no
-    # feasible set strictly contains cannot be extended): the ``initial``
-    # of a reduction below never stands in for a missing mask.
+    # feasible sets exist, and so do maximal ones: the ``initial`` of a
+    # reduction below never stands in for a missing mask.  Under both
+    # rules a feasible S can be extended iff some feasible T strictly
+    # contains it: for x in T - S, the least closed superset of S + {x}
+    # (the strong closure or the weak completion) lies inside T and so
+    # fits, and when it fits it is such a T.
     if inst.kind.is_maximal:
-        cand = np.flatnonzero(closed)
-        if inst.kind.is_weak:
-            closed[cand] = ~_extendable_weak(inst, cand, weight, budget, in_masks)
-        else:
-            closed[cand] = ~_extendable_strong(inst, cand, weight, budget)
+        _kernels.inclusion_maximal(closed)
         best = int(weight.min(where=closed, initial=budget))
     else:
         best = int(weight.max(where=closed, initial=0))

@@ -156,24 +156,6 @@ _EDGE_CASES = {
 }
 
 
-def _completion_reference(masks):
-    """Per mask, the weak forcing rule applied until nothing changes."""
-    n = masks.shape[0]
-    out = np.zeros(1 << n, dtype=np.int64)
-    for m in range(1 << n):
-        grown = m
-        while True:
-            step = grown
-            for x in range(n):
-                if masks[x] != 0 and grown & masks[x] == masks[x]:
-                    step |= 1 << x
-            if step == grown:
-                break
-            grown = step
-        out[m] = grown
-    return out
-
-
 class TestSubsetKernels:
     @pytest.mark.parametrize("case", _EDGE_CASES)
     def test_edge_cases_match_reference(self, case):
@@ -200,14 +182,6 @@ class TestSubsetKernels:
             assert got_w.dtype == dtype and got_w[-1] == total
             assert np.array_equal(got_c, ref_c)
             assert np.array_equal(got_w, ref_w)
-
-    @pytest.mark.parametrize("case", ["random", *_EDGE_CASES])
-    def test_weak_completions_match_reference(self, case):
-        """Completions of up to 31 nodes fit an int32 table."""
-        masks, _ = {"random": _random_masks(7, 8), **_EDGE_CASES}[case]
-        got = _kernels.weak_completions(masks)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, _completion_reference(masks))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_backends_agree(self, seed):
@@ -243,3 +217,64 @@ class TestSubsetKernels:
                 for i in range(6)
             )
             assert bool(closed[m]) == expect_closed
+
+
+def _inclusion_maximal_reference(closed):
+    """Per mask: set, and no set entry strictly contains it."""
+    top = np.flatnonzero(closed)
+    return np.array(
+        [bool(closed[s]) and not any(t != s and t & s == s for t in top) for s in range(closed.size)],
+        dtype=np.bool_,
+    )
+
+
+class TestInclusionMaximal:
+    @pytest.mark.parametrize("n", range(9))
+    def test_random_tables_match_reference(self, n):
+        """Below n = 6 the packed table is one zero-padded word."""
+        rng = np.random.default_rng(n)
+        for p in (0.05, 0.3, 0.7):
+            closed = rng.random(1 << n) < p
+            expected = _inclusion_maximal_reference(closed)
+            _kernels.inclusion_maximal(closed)
+            assert np.array_equal(closed, expected)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 7])
+    @pytest.mark.parametrize("case", ["all", "none", "one"])
+    def test_extreme_tables(self, n, case):
+        """All set leaves only the full mask; all clear stays clear; a
+        single entry stays."""
+        size = 1 << n
+        closed = np.full(size, case == "all")
+        if case == "one":
+            closed[size // 3] = True
+        expected = np.zeros(size, dtype=np.bool_)
+        if case != "none":
+            expected[size - 1 if case == "all" else size // 3] = True
+        _kernels.inclusion_maximal(closed)
+        assert np.array_equal(closed, expected)
+
+    @pytest.mark.parametrize("n", [1, 6, 8])
+    def test_one_node_apart(self, n):
+        """Two entries, S and S plus node i: only the larger stays, for
+        every node (in-word and word-level steps) and for S empty or all
+        but i."""
+        full = (1 << n) - 1
+        for i in range(n):
+            for s in (0, full & ~(1 << i)):
+                closed = np.zeros(1 << n, dtype=np.bool_)
+                closed[[s, s | 1 << i]] = True
+                _kernels.inclusion_maximal(closed)
+                assert np.flatnonzero(closed).tolist() == [s | 1 << i]
+
+    def test_sparse_table_across_blocks(self):
+        """n = 17: two blocks of the final pass, and supersets whose
+        subsets lie in the other block."""
+        rng = np.random.default_rng(17)
+        closed = np.zeros(1 << 17, dtype=np.bool_)
+        closed[rng.integers(0, 1 << 17, size=60)] = True
+        closed[[0, 1, 1 << 16, (1 << 16) | 1, 5]] = True
+        expected = _inclusion_maximal_reference(closed)
+        _kernels.inclusion_maximal(closed)
+        assert np.array_equal(closed, expected)
+        assert not closed[1] and not closed[0]
