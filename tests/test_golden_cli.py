@@ -48,6 +48,7 @@ ARGVS = (
     # bad choices and bad ints
     + [
         ["solve", "x", "--algorithm", "magic"],
+        ["solve", "x", "--algorithm", "eulerian"],  # retired row
         ["solve", "x", "--k", "two"],
         ["generate", "random", "--n", "3", "--graph-class", "blob"],
         ["generate", "random", "--n", "three"],
