@@ -23,7 +23,7 @@ Kernels:
   boolean table over all bitmasks that another set entry strictly
   contains.  Fed the feasible masks, it leaves the maximal ones.
 
-These four are the brute-force oracle.  Bit i of a mask is node i, and
+These three are the brute-force oracle.  Bit i of a mask is node i, and
 the neighbour masks carry no self bit (the graphs have no loops).  The
 closure tables are filled in place by doubling: the masks [2^i, 2^(i+1))
 are the masks [0, 2^i) plus node i, so each step copies the prefix and

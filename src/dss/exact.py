@@ -593,24 +593,22 @@ class _TreeDP:
 
 
 def _tree_solution(inst: WeightedInstance, kind: _Kind, starts: Iterable[int]) -> Solution:
+    """One DP of ``kind`` and its witness.  The vectors are cut to
+    min(B, total weight) + 1 entries, which the cap bounds."""
+    if min(inst.budget, inst.total_weight()) > DEFAULT_BUDGET_CAP:
+        raise CapExceeded(f"budget {inst.budget} exceeds DP table cap {DEFAULT_BUDGET_CAP}")
     dp = _TreeDP(inst.graph, inst.weights, inst.budget, kind, starts)
     b, level = dp.ops.best(dp.answer, inst.budget)
     return Solution(frozenset(dp.witness(b, level)), b)
 
 
-def _check_cap(inst: WeightedInstance) -> None:
-    """The vectors are cut to min(B, total weight) + 1 entries."""
-    if min(inst.budget, inst.total_weight()) > DEFAULT_BUDGET_CAP:
-        raise CapExceeded(f"budget {inst.budget} exceeds DP table cap {DEFAULT_BUDGET_CAP}")
-
-
 def solve_ssg_tree(inst: WeightedInstance) -> Solution:
     """Maximum-weight closed-and-budgeted set on an oriented forest."""
-    g = inst.graph
-    if not is_underlying_forest(g):
+    if inst.kind is not ProblemKind.SSG:
+        raise SolverError("forest DP handles ssg only")
+    if not is_underlying_forest(inst.graph):
         raise SolverError("forest DP requires an oriented forest")
-    _check_cap(inst)
-    return _tree_solution(inst, _STRONG, g.nodes())
+    return _tree_solution(inst, _STRONG, inst.graph.nodes())
 
 
 def solve_maximal_ssg_tree(inst: WeightedInstance) -> Solution:
@@ -620,12 +618,13 @@ def solve_maximal_ssg_tree(inst: WeightedInstance) -> Solution:
     b whose best score exceeds B - b (no feasible single addition, which
     on a DAG is equivalent to having no feasible superset).
     """
+    if inst.kind is not ProblemKind.MAXIMAL_SSG:
+        raise SolverError("maximal tree DP handles maximal-ssg only")
     g = inst.graph
     if not is_underlying_tree(g):
         raise SolverError("maximal tree DP requires an oriented tree")
     if inst.total_weight() <= inst.budget:
         return Solution(frozenset(g.nodes()), inst.total_weight())
-    _check_cap(inst)
     return _tree_solution(inst, _MAXIMAL, g.nodes())
 
 
@@ -636,14 +635,15 @@ def solve_ssgw_rooted_tree(inst: WeightedInstance) -> Solution:
     rule coincides with the strong closure rule and the forest DP applies
     directly.
     """
+    if inst.kind is not ProblemKind.SSGW:
+        raise SolverError("weak-closure tree DP handles ssgw only")
     g = inst.graph
     if is_in_rooted_tree(g):
-        return solve_ssg_tree(inst)
+        return _tree_solution(inst, _STRONG, g.nodes())
     if not is_out_rooted_tree(g):
         raise SolverError(
             "weak-closure tree DP requires an in-rooted or out-rooted tree"
         )
-    _check_cap(inst)
     sink = next(v for v in g.nodes() if not g.out_adj[v])
     return _tree_solution(inst, _WEAK, [sink])
 
@@ -665,16 +665,11 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
     if inst.kind not in (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG):
         raise SolverError("tournament solver handles the strong kinds only")
     g = inst.graph
-    if is_tournament(g) and is_dag(g):
-        cond = None
-        h = g
-        weights = inst.weights
-    else:
-        cond = condense(g, inst.weights)
-        if not is_tournament(cond.dag):
-            raise SolverError("input is not a tournament (nor condenses to one)")
-        h = cond.dag
-        weights = cond.component_weight
+    # An acyclic graph is its own condensation.
+    cond = None if is_dag(g) else condense(g, inst.weights)
+    h, weights = (g, inst.weights) if cond is None else (cond.dag, cond.component_weight)
+    if not is_tournament(h):
+        raise SolverError("input is not a tournament (nor condenses to one)")
     # An acyclic tournament is transitive, so its path runs by decreasing
     # out-degree: walk it up from the sink while the budget holds.
     chosen, total = [], 0

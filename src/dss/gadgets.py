@@ -15,69 +15,65 @@ given its seed.
 """
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import Digraph, GraphClass, is_dag, sorted_pairs
+from .graph import Digraph, GraphClass, is_dag, is_underlying_connected
 from .instance import InstanceError, ProblemKind, WeightedInstance
 
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph on nodes 0..n-1."""
+    """Simple undirected graph on nodes 0..n-1, held as the ``Digraph``
+    of its edges, each edge an arc from its smaller end."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    graph: Digraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = [(u, v) if u < v else (v, u) for u, v in self.edges]
-        edges = sorted_pairs(self.n, norm)
-        if edges is None:
-            if len(set(norm)) != len(norm) or any(u == v for u, v in norm):
-                raise InstanceError("edges must be simple and loop-free")
-            u, v = min(e for e in norm if not (0 <= e[0] < self.n and 0 <= e[1] < self.n))
-            raise InstanceError(f"edge ({u},{v}) out of range")
-        object.__setattr__(self, "edges", edges)
-
-    @functools.cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, its neighbours in increasing order: the edges are
-        sorted pairs (u, v) with u < v, so node v meets its smaller
-        neighbours (as the second end) before its larger ones."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
+        try:
+            graph = Digraph(self.n, [(u, v) if u < v else (v, u) for u, v in self.edges])
+        except (TypeError, ValueError):  # GraphError is a ValueError
+            raise _edge_error(self.n, self.edges) from None
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edges", graph.arcs)
 
     def neighbours(self, v: int) -> list[int]:
-        return list(self._adjacency[v])
+        # Arcs run from the smaller end, so the in-neighbours are the
+        # smaller neighbours and the out-neighbours the larger, each sorted.
+        return [*self.graph.in_adj[v], *self.graph.out_adj[v]]
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return len(self.graph.in_adj[v]) + len(self.graph.out_adj[v])
 
     def is_regular(self) -> Optional[int]:
-        if self.n == 0:
-            return None
-        degs = set(map(len, self._adjacency))
+        degs = set(map(self.degree, range(self.n)))
         return degs.pop() if len(degs) == 1 else None
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self._adjacency
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
+        return is_underlying_connected(self.graph)
+
+
+def _edge_error(n: int, edges) -> InstanceError:
+    """Why ``edges`` cannot be the edges of a simple graph on ``n`` nodes:
+    an edge that is not a pair of integers, else a repeat or a loop, else
+    the first edge in sorted order that is out of range."""
+    if n < 0:
+        return InstanceError("node count must be nonnegative")
+    try:
+        pairs = [tuple(sorted(map(operator.index, e))) for e in edges]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(e) != 2 for e in pairs):
+        return InstanceError("edges must be pairs of integer node ids")
+    if len(set(pairs)) != len(pairs) or any(u == v for u, v in pairs):
+        return InstanceError("edges must be simple and loop-free")
+    u, v = min(e for e in pairs if not (0 <= e[0] < n and 0 <= e[1] < n))
+    return InstanceError(f"edge ({u},{v}) out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +277,6 @@ def subset_sum_to_tree(
 DEFAULT_ARC_PROB = 0.3
 
 
-def _random_tree_arcs(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    arcs = []
-    for i in range(1, n):
-        j = rng.randrange(i)
-        arcs.append((i, j) if rng.random() < 0.5 else (j, i))
-    return arcs
-
-
 def random_instance(
     graph_class: GraphClass,
     n: int,
@@ -319,14 +307,12 @@ def random_instance(
             for j in range(i + 1, n):
                 if rng.random() < arc_prob:
                     arcs.append((order[i], order[j]))
-    elif graph_class is GraphClass.FOREST:
+    elif graph_class in (GraphClass.FOREST, GraphClass.ORIENTED_TREE):
         for i in range(1, n):
-            if rng.random() < 0.3:
+            if graph_class is GraphClass.FOREST and rng.random() < 0.3:
                 continue  # start a new component
             j = rng.randrange(i)
             arcs.append((i, j) if rng.random() < 0.5 else (j, i))
-    elif graph_class is GraphClass.ORIENTED_TREE:
-        arcs = _random_tree_arcs(rng, n)
     elif graph_class in (GraphClass.OUT_ROOTED_TREE, GraphClass.IN_ROOTED_TREE):
         perm = list(range(n))
         rng.shuffle(perm)

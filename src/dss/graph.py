@@ -1,7 +1,8 @@
 """Simple digraphs with the traversal and structure machinery the solvers need.
 
-Nodes are dense integers 0..n-1.  Graphs are immutable and hashable so
-derived structures (e.g. the condensation) can be cached per graph.
+Nodes are dense integers 0..n-1.  Graphs are immutable and hashable.
+The structural predicates behind ``classify`` and the condensation live
+here; the condensation is built once per graph and kept on it.
 
 This module owns the mask representation of node sets that the solvers
 share: a set is a Python int with bit v set for node v.
@@ -17,7 +18,6 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -89,7 +89,7 @@ def _arc_error(n: int, arcs: list) -> GraphError:
 class Digraph:
     """Immutable simple digraph: no loops, no duplicate arcs."""
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj", "_hash")
+    __slots__ = ("n", "arcs", "out_adj", "in_adj", "_condensed")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -117,7 +117,6 @@ class Digraph:
         self.arcs = ordered
         self.out_adj = tuple(out_adj)
         self.in_adj = tuple(in_adj)
-        self._hash = hash((n, self.arcs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,7 +126,7 @@ class Digraph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={list(self.arcs)!r})"
@@ -239,8 +238,8 @@ def _strongly_connected_components(g: Digraph) -> list[list[int]]:
     return comps
 
 
-@lru_cache(maxsize=256)
-def _condense_cached(g: Digraph, weights: tuple[int, ...]) -> Condensation:
+def _condensation(g: Digraph) -> tuple:
+    """(dag, component_of, members) of ``g``."""
     comps = _strongly_connected_components(g)
     raw_of = [0] * g.n
     for ci, comp in enumerate(comps):
@@ -273,25 +272,28 @@ def _condense_cached(g: Digraph, weights: tuple[int, ...]) -> Condensation:
     dag = Digraph(k, [(new_id[a], new_id[b]) for a, b in raw_arcs])
     members = tuple(tuple(sorted(comps[c])) for c in order)
     component_of = tuple(new_id[raw_of[v]] for v in range(g.n))
-    component_weight = tuple(sum(weights[v] for v in m) for m in members)
-    return Condensation(dag, component_of, component_weight, members)
+    return dag, component_of, members
 
 
 def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
+    """The structure is built on the first call and kept on ``g``; the
+    component weights are summed on each call."""
     w = tuple(weights)
     if len(w) != g.n:
         raise GraphError("weight vector length must equal node count")
-    return _condense_cached(g, w)
+    try:
+        dag, component_of, members = g._condensed
+    except AttributeError:
+        dag, component_of, members = g._condensed = _condensation(g)
+    component_weight = tuple(sum(w[v] for v in m) for m in members)
+    return Condensation(dag, component_of, component_weight, members)
 
 
 def is_underlying_forest(g: Digraph) -> bool:
-    """True when the underlying undirected graph is acyclic and simple
-    (no opposite arc pair)."""
+    """True when the underlying undirected graph is acyclic and simple:
+    an opposite arc pair joins two nodes already joined, so it is a cycle."""
     if g.n and len(g.arcs) >= g.n:
         return False  # a forest has at most n - 1 edges
-    edges = {(min(u, v), max(u, v)) for u, v in g.arcs}
-    if len(edges) != len(g.arcs):
-        return False  # opposite arcs collapse to one edge
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -300,7 +302,7 @@ def is_underlying_forest(g: Digraph) -> bool:
             x = parent[x]
         return x
 
-    for u, v in edges:
+    for u, v in g.arcs:
         ru, rv = find(u), find(v)
         if ru == rv:
             return False
@@ -323,7 +325,8 @@ def is_underlying_connected(g: Digraph) -> bool:
 
 
 def is_underlying_tree(g: Digraph) -> bool:
-    return is_underlying_forest(g) and is_underlying_connected(g)
+    """A forest with n - 1 edges has one component."""
+    return len(g.arcs) == max(g.n - 1, 0) and is_underlying_forest(g)
 
 
 def is_tournament(g: Digraph) -> bool:
@@ -347,21 +350,18 @@ def is_balanced_degree_two(g: Digraph) -> bool:
 def is_out_rooted_tree(g: Digraph) -> bool:
     """Oriented tree where every node but the unique anti-root has
     out-degree 1 (all arcs point toward the anti-root)."""
-    if g.n == 0:
-        return False
-    return is_underlying_tree(g) and all(len(a) <= 1 for a in g.out_adj)
+    return g.n > 0 and all(len(a) <= 1 for a in g.out_adj) and is_underlying_tree(g)
 
 
 def is_in_rooted_tree(g: Digraph) -> bool:
-    if g.n == 0:
-        return False
-    return is_underlying_tree(g) and all(len(a) <= 1 for a in g.in_adj)
+    return g.n > 0 and all(len(a) <= 1 for a in g.in_adj) and is_underlying_tree(g)
 
 
 def classify(g: Digraph) -> GraphClass:
     """Most specific class label.  Tournament and the balanced Eulerian
     class take priority over the tree/DAG ladder; solvers should query
-    the specific predicates rather than trust the single label."""
+    the specific predicates rather than trust the single label.  A
+    forest with n - 1 arcs is a tree; the degrees tell its rooting."""
     if is_tournament(g):
         return GraphClass.TOURNAMENT
     if is_balanced_degree_two(g):
@@ -370,10 +370,10 @@ def classify(g: Digraph) -> GraphClass:
         return GraphClass.GENERAL
     if not is_underlying_forest(g):
         return GraphClass.DAG
-    if not is_underlying_connected(g):
+    if len(g.arcs) != g.n - 1:
         return GraphClass.FOREST
-    if is_out_rooted_tree(g):
+    if all(len(a) <= 1 for a in g.out_adj):
         return GraphClass.OUT_ROOTED_TREE
-    if is_in_rooted_tree(g):
+    if all(len(a) <= 1 for a in g.in_adj):
         return GraphClass.IN_ROOTED_TREE
     return GraphClass.ORIENTED_TREE

@@ -76,7 +76,6 @@ def reference_digraph(n: int, arcs) -> Digraph:
     g.arcs = tuple(arc_list)
     g.out_adj = tuple(tuple(a) for a in out_adj)
     g.in_adj = tuple(tuple(a) for a in in_adj)
-    g._hash = hash((n, g.arcs))
     return g
 
 

@@ -613,6 +613,29 @@ class TestLevelRuns:
             assert ops.split(left, pairs, views, rem, level) == expect
 
 
+@pytest.mark.parametrize(
+    "solve,own,cls",
+    [
+        (solve_ssg_tree, ProblemKind.SSG, GraphClass.ORIENTED_TREE),
+        (solve_maximal_ssg_tree, ProblemKind.MAXIMAL_SSG, GraphClass.ORIENTED_TREE),
+        (solve_ssgw_rooted_tree, ProblemKind.SSGW, GraphClass.OUT_ROOTED_TREE),
+        (solve_ssgw_rooted_tree, ProblemKind.SSGW, GraphClass.IN_ROOTED_TREE),
+    ],
+    ids=["ssg", "maximal-ssg", "ssgw-out", "ssgw-in"],
+)
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+def test_tree_dp_refuses_other_kinds(solve, own, cls, kind):
+    """A tree DP answers its own kind, as brute force does, and refuses
+    the others rather than return the optimum of another problem."""
+    for seed in (3, 4):
+        inst = random_instance(cls, 12, seed=seed, kind=kind)
+        if kind is own:
+            assert solve(inst).weight == brute_force(inst).weight
+        else:
+            with pytest.raises(SolverError):
+                solve(inst)
+
+
 class TestDeepTrees:
     """The tree DPs build and read witnesses without recursion."""
 

@@ -85,8 +85,13 @@ class TestUndirectedGraph:
             (((0, 9), (2, 2)), "edges must be simple and loop-free"),
             (((3, 7), (1, 0), (5, 1)), "edge (1,5) out of range"),
             (((-1, 2),), "edge (-1,2) out of range"),
+            (((0, 1.5),), "edges must be pairs of integer node ids"),
+            (((0, 1), (1.0, 2)), "edges must be pairs of integer node ids"),
+            ((("0", 1),), "edges must be pairs of integer node ids"),
+            (((0, 1, 2),), "edges must be pairs of integer node ids"),
         ],
-        ids=["reversed-repeat", "loop-before-range", "first-in-order", "negative"],
+        ids=["reversed-repeat", "loop-before-range", "first-in-order", "negative",
+             "fraction", "float", "string", "triple"],
     )
     def test_errors(self, edges, message):
         with pytest.raises(InstanceError) as exc:

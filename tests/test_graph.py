@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -12,11 +13,20 @@ from dss import (
     Digraph,
     GraphClass,
     GraphError,
+    ProblemKind,
+    Solution,
+    SolverError,
+    WeightedInstance,
     classify,
     condense,
+    evaluate,
+    exact,
     is_dag,
+    random_instance,
 )
+from dss import graph as graph_module
 from dss.approx import _Reach
+from dss.cli import SOLVERS, _solve_auto
 from dss.graph import (
     _topological_order,
     is_balanced_degree_two,
@@ -288,3 +298,70 @@ class TestClassify:
     def test_tree_predicates(self, fig_a, fig_b):
         assert is_underlying_tree(fig_a)
         assert is_underlying_tree(fig_b)
+
+
+def _count_calls(monkeypatch, names):
+    """Call counts of the named ``dss.graph`` functions, wrapped in every
+    loaded ``dss`` module that binds them, as they are called by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(graph_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "dss"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestStructurePasses:
+    """Each structural fact costs one pass: counted calls, not timings."""
+
+    N = 10**5
+    PASSES = ("is_underlying_forest", "is_underlying_connected", "_topological_order",
+              "_strongly_connected_components")
+
+    @classmethod
+    def trees(cls):
+        # Heap-shaped trees: node i hangs below (i - 1) // 2.
+        up = [(i, (i - 1) // 2) for i in range(1, cls.N)]
+        return {
+            GraphClass.OUT_ROOTED_TREE: Digraph(cls.N, up),
+            GraphClass.IN_ROOTED_TREE: Digraph(cls.N, [(v, u) for u, v in up]),
+            GraphClass.ORIENTED_TREE: Digraph(cls.N, [(u, v) if u % 3 else (v, u) for u, v in up]),
+        }
+
+    def test_trees(self, monkeypatch):
+        # The tree DPs themselves are stubbed: only the structure tests
+        # that pick them are counted.
+        monkeypatch.setattr(exact, "_tree_solution", lambda inst, kind, starts: Solution(frozenset(), 0))
+        counts = _count_calls(monkeypatch, self.PASSES)
+        for cls, g in self.trees().items():
+            counts.update(dict.fromkeys(counts, 0))
+            assert classify(g) is cls
+            assert counts == {"is_underlying_forest": 1, "is_underlying_connected": 0,
+                              "_topological_order": 1, "_strongly_connected_components": 0}
+            for kind in (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG, ProblemKind.SSGW):
+                counts.update(dict.fromkeys(counts, 0))
+                try:
+                    SOLVERS["tree-dp"](WeightedInstance(g, (1,) * g.n, 1, kind), 2)
+                except SolverError:
+                    assert (cls, kind) == (GraphClass.ORIENTED_TREE, ProblemKind.SSGW)
+                assert counts["is_underlying_forest"] <= 1, (cls, kind)
+                assert sum(counts.values()) == counts["is_underlying_forest"], (cls, kind)
+
+    def test_condensations(self, monkeypatch):
+        counts = _count_calls(monkeypatch, ["_strongly_connected_components"])
+        # Two 2-cycles into a path: a general digraph whose condensation
+        # is no tournament, so the PTAS row answers.
+        g = Digraph(6, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 4), (3, 4), (4, 5)])
+        inst = WeightedInstance(g, (1, 2, 3, 4, 5, 6), 12, ProblemKind.MAXIMAL_SSG)
+        assert evaluate(inst, _solve_auto(inst, 2).selected).feasible
+        assert counts["_strongly_connected_components"] == 1
+        counts["_strongly_connected_components"] = 0
+        dag = random_instance(GraphClass.DAG, 30, seed=1)
+        assert evaluate(dag, _solve_auto(dag, 2).selected).feasible
+        assert counts["_strongly_connected_components"] == 0
