@@ -340,7 +340,8 @@ def cmd_check(args) -> int:
         )
     feasible = report.feasible and declared_weight == report.total_weight
     lines.append(f"feasible {str(feasible).lower()}")
-    print("\n".join(lines))
+    with _output(None) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if feasible else EXIT_INTERNAL
 
 
@@ -352,9 +353,8 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     inst, _labels = formats.parse_instance(_read(args.instance))
     g = inst.graph
-    print(f"class {classify(g).value}")
-    print(f"nodes {g.n}")
-    print(f"arcs {len(g.arcs)}")
+    with _output(None) as fh:
+        fh.write(f"class {classify(g).value}\nnodes {g.n}\narcs {len(g.arcs)}\n")
     return EXIT_OK
 
 

@@ -1,23 +1,24 @@
 """Exact solvers.
 
 - ``brute_force``: subset enumeration over bitmasks, the ground-truth
-  oracle for every other solver.  The closure and weight tables of all
-  2^n masks come from ``_kernels`` (1 + w bytes per mask, w = 2, 4 or 8
-  as the total weight needs; see there for time), fed the neighbour
-  masks of ``graph.neighbour_masks`` as int64 arrays.  The budget is cut
-  to the total weight before it meets the tables.  All four kinds then
-  take one answer path on the boolean table: keep the masks within the
-  budget; for the maximal kinds, keep those that no feasible mask
-  strictly contains (``_kernels.inclusion_maximal``, the same for both
-  closure rules); keep the masks of the best weight (the largest, or
-  for the maximal kinds the smallest); and read the lexicographically
-  first of them off the table through strided views.  The budget and tie
-  tests narrow the table in place, 2^16 masks at a time, so no temporary
-  as large as a table is built.  Measured tracemalloc peaks at n = 20
+  oracle for every other solver.  ``_kernels`` yields the closed masks
+  one block of 2^16 at a time (the masks over the 16 lowest nodes, under
+  one pattern of the higher ones; see there for time), fed the neighbour
+  masks of ``graph.neighbour_masks`` as int64 arrays, so no array holds
+  an entry per mask.  The budget is cut to the total weight before it
+  meets the tables.  ssg and ssgw take the blocks as they come, keeping
+  the best weight and its tie winner; the maximal kinds take them after
+  ``_kernels.inclusion_maximal`` (the same for both closure rules) has
+  cut a packed bit table of all feasible masks to the maximal ones.  In
+  each block the best weight (the largest, or for the maximal kinds the
+  smallest) is read through one score table, and the lexicographically
+  first of its ties off the boolean block, 8 nodes a step.  A block
+  under a nonempty high pattern orders its low tuples with an extension
+  before its prefix, as the high nodes follow them; block winners are
+  compared by their sorted tuples.  Measured tracemalloc peaks at n = 20
   (a random DAG, arc probability 0.12, total weight below 2^15, and also
-  when all 2^20 masks tie): 3.2 MB for ssg and ssgw, the 3.1 MB of
-  tables and little else; 3.7 MB for the maximal kinds, whose test adds
-  bit-packed tables of 2^n / 8 bytes.
+  when all 2^20 masks tie): 0.47 MB for ssg and ssgw, 0.99 MB for the
+  maximal kinds, whose test adds three packed tables of 2^n / 8 bytes.
 - ``solve_ssg_tree``: pseudo-polynomial DP on oriented forests for the
   strong-closure maximization problem.  Per subtree it tracks two
   boolean feasibility vectors indexed by weight: reachable weights with
@@ -93,27 +94,51 @@ class CapExceeded(SolverError):
 # ---------------------------------------------------------------------------
 
 
-def _keep_where(closed: np.ndarray, weight: np.ndarray, test, value: int) -> None:
-    """``closed &= test(weight, value)``, ``_kernels.BLOCK`` masks at a
-    time, so that no temporary as large as a table sits beside the tables."""
-    for start in range(0, closed.size, _kernels.BLOCK):
-        block = slice(start, start + _kernels.BLOCK)
-        closed[block] &= test(weight[block], value)
+def _walk_order(width: int, extended: bool) -> np.ndarray:
+    """The 2 * ``width`` options of one step of ``_lexicographic_first``
+    over b nodes, ``width`` = 2^b, best first.  Option j takes the nodes
+    of j and stops: a tuple that ends there, or in an extended walk goes
+    on with high nodes.  Option width + j takes them and goes on with a
+    node beyond the step's nodes but below the high ones."""
+    nodes = [tuple(mask_nodes(j)) for j in range(width)]
+    stop = width + 1 if extended else -1
+    keys = [t + (stop,) for t in nodes] + [t + (width,) for t in nodes]
+    return np.array(sorted(range(2 * width), key=keys.__getitem__))
 
 
-def _lexicographic_first(tie: np.ndarray) -> int:
+# Nodes per step of ``_lexicographic_first``.
+_WALK_NODES = 8
+_WALK_ORDERS = {
+    (1 << b, extended): _walk_order(1 << b, extended)
+    for b in range(_WALK_NODES + 1)
+    for extended in (False, True)
+}
+
+
+def _lexicographic_first(tie: np.ndarray, extended: bool = False) -> int:
     """The mask set in the boolean table ``tie`` whose sorted node tuple
-    is smallest: the empty mask if set, else among the masks with the
-    smallest lowest node k, the first once k is stripped.  The masks whose
-    lowest node is k are ``tie[2^k :: 2^(k+1)]``, entry j holding the
-    nodes of j shifted above k, so each step descends into such a view."""
+    is smallest; with ``extended``, every tuple goes on with nodes above
+    all of the table's (a block's high pattern), so an extension comes
+    before its prefix: {0, 3, 17} before {0, 17}.
+
+    The walk takes the nodes 8 at a time.  Reshaped to rows of 2^8, column
+    j of the table holds the masks whose 8 lowest nodes are j, row r those
+    whose further nodes are r: so the set masks offer the options "j, then
+    stop" (row 0) and "j, then more" (any later row).  The best option
+    present, by ``_WALK_ORDERS``, is taken; "more" descends into column j.
+    The empty mask stops at once, so a plain walk takes it when set."""
     chosen = base = 0
-    while not tie[0]:
-        k = next(k for k in range(tie.size.bit_length()) if tie[1 << k :: 2 << k].any())
-        chosen |= 1 << (base + k)
-        tie = tie[1 << k :: 2 << k]
-        base += k + 1
-    return chosen
+    while True:
+        width = min(tie.size, 1 << _WALK_NODES)
+        rows = tie.reshape(-1, width)
+        present = np.concatenate((rows[0], rows[1:].any(axis=0)))
+        order = _WALK_ORDERS[width, extended]
+        option = int(order[present[order].argmax()])
+        chosen |= (option % width) << base
+        if option < width:
+            return chosen
+        tie = rows[:, option % width]
+        base += _WALK_NODES
 
 
 def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solution:
@@ -131,24 +156,42 @@ def brute_force(inst: WeightedInstance, cap: int = DEFAULT_BRUTE_CAP) -> Solutio
     budget = min(inst.budget, total)
     succ, pred = neighbour_masks(g)
     if inst.kind.is_weak:
-        closed, weight = _kernels.weak_closed_subsets(np.array(pred, dtype=np.int64), weights)
+        subsets = _kernels.weak_closed_subsets(np.array(pred, dtype=np.int64), weights)
     else:
-        closed, weight = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
-    _keep_where(closed, weight, np.less_equal, budget)
+        subsets = _kernels.closed_subsets(np.array(succ, dtype=np.int64), weights)
     # The empty set is closed under both rules and fits any budget, so
-    # feasible sets exist, and so do maximal ones: the ``initial`` of a
-    # reduction below never stands in for a missing mask.  Under both
-    # rules a feasible S can be extended iff some feasible T strictly
-    # contains it: for x in T - S, the least closed superset of S + {x}
-    # (the strong closure or the weak completion) lies inside T and so
-    # fits, and when it fits it is such a T.
-    if inst.kind.is_maximal:
-        _kernels.inclusion_maximal(closed)
-        best = int(weight.min(where=closed, initial=budget))
-    else:
-        best = int(weight.max(where=closed, initial=0))
-    _keep_where(closed, weight, np.equal, best)
-    return Solution(frozenset(mask_nodes(_lexicographic_first(closed))), best)
+    # feasible sets exist, and so do maximal ones: some block holds one.
+    # Under both rules a feasible S can be extended iff some feasible T
+    # strictly contains it: for x in T - S, the least closed superset of
+    # S + {x} (the strong closure or the weak completion) lies inside T
+    # and so fits, and when it fits it is such a T.
+    maximal = inst.kind.is_maximal
+    low_weight = subsets.weight
+    top = int(low_weight[-1])
+    scratch = np.empty_like(low_weight)
+    best = winner = None
+    for high, high_weight, block in subsets.maximal(budget) if maximal else subsets.feasible(budget):
+        # The block's best low weight, through a score >= 0 that the
+        # block maximizes: the weight, or for the maximal kinds (the
+        # lightest wins) the low total less the weight.  Unset masks
+        # score 0, so a best score of 0 may mean no set mask.
+        if maximal:
+            np.subtract(top, low_weight, out=scratch)
+            scratch *= block
+        else:
+            np.multiply(low_weight, block, out=scratch)
+        score = int(scratch.max())
+        if not score and not block.any():
+            continue
+        low = top - score if maximal else score
+        weight = low + high_weight
+        if best is not None and (weight > best if maximal else weight < best):
+            continue
+        block &= low_weight == low
+        mask = _lexicographic_first(block, high != 0) | high
+        if weight != best or tuple(mask_nodes(mask)) < tuple(mask_nodes(winner)):
+            best, winner = weight, mask
+    return Solution(frozenset(mask_nodes(winner)), best)
 
 
 # ---------------------------------------------------------------------------

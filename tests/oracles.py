@@ -15,6 +15,11 @@ table.  ``emit_instance_reference`` is the earlier list-and-join
 ``LevelsReference`` is the earlier list-per-level score algebra of the
 maximal tree DP, kept verbatim but for its shift-OR, which is the plain
 loop ``shift_or_reference``, to pin the run-length one.
+``brute_force_table_reference`` is the earlier ``brute_force`` that
+holds a bool and a weight per mask for all 2^n masks, kept verbatim with
+its kernels (``table_closed_subsets``, ``table_weak_closed_subsets``,
+``table_inclusion_maximal``) to pin the blocked one, answers and tie
+winners alike.
 ``ptas_maximal_ssg_reference`` is the earlier heap-driven
 ``ptas_maximal_ssg``, kept verbatim but for building its own ``_Reach``,
 to pin the rank-ordered one on graphs too large for
@@ -48,7 +53,7 @@ from dss.constraints import (
     check_digraph_closure,
     check_weak_closure,
 )
-from dss.graph import condense, is_dag, is_tournament, mask_nodes
+from dss.graph import condense, is_dag, is_tournament, mask_nodes, neighbour_masks
 
 
 def reference_digraph(n: int, arcs) -> Digraph:
@@ -500,3 +505,135 @@ def ptas_maximal_ssg_reference(inst: WeightedInstance, k: int) -> ApproxResult:
         k,
         guarantee,
     )
+
+
+# ---------------------------------------------------------------------------
+# The earlier table brute force: a bool and a weight per mask
+# ---------------------------------------------------------------------------
+
+
+def _table_cube(half, i, ones=0, zeros=0):
+    idx = [slice(None)] * i
+    for k in range(i):
+        if (ones >> k) & 1:
+            idx[i - 1 - k] = 1
+        elif (zeros >> k) & 1:
+            idx[i - 1 - k] = 0
+    return half.reshape((2,) * i)[tuple(idx) + (Ellipsis,)]
+
+
+def _table_forbid(n, rules, weights):
+    closed = np.empty(1 << n, dtype=np.bool_)
+    weight = np.empty(1 << n, dtype=weights.dtype)
+    closed[0], weight[0] = True, 0
+    bound = [[] for _ in range(n)]
+    for ones, zeros in rules:
+        bound[(ones | zeros).bit_length() - 1].append((ones, zeros))
+    for i in range(n):
+        h = 1 << i
+        closed[h : 2 * h] = closed[:h]
+        np.add(weight[:h], weights[i], out=weight[h : 2 * h])
+        for ones, zeros in bound[i]:
+            half = closed[h : 2 * h] if ones & h else closed[:h]
+            _table_cube(half, i, ones, zeros)[...] = False
+    return closed, weight
+
+
+def table_closed_subsets(out_masks, weights):
+    """Closed (strong rule) and weight tables over all 2^n masks."""
+    n = out_masks.shape[0]
+    rules = [
+        (1 << u, 1 << v) for u, m in enumerate(map(int, out_masks)) for v in range(n) if m >> v & 1
+    ]
+    return _table_forbid(n, rules, weights)
+
+
+def table_weak_closed_subsets(in_masks, weights):
+    """Closed (weak rule) and weight tables over all 2^n masks."""
+    rules = [(m, 1 << x) for x, m in enumerate(map(int, in_masks)) if m]
+    return _table_forbid(in_masks.shape[0], rules, weights)
+
+
+_TABLE_LOW = [
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+]
+_TABLE_BLOCK = 1 << 16
+
+
+def _table_above(src, n, out):
+    tmp = np.empty_like(src)
+    for i in range(n):
+        if i < 6:
+            np.right_shift(src, np.uint64(1 << i), out=tmp)
+            tmp &= _TABLE_LOW[i]
+            out |= tmp
+        else:
+            half = 1 << (i - 6)
+            out.reshape(-1, 2, half)[:, 0] |= src.reshape(-1, 2, half)[:, 1]
+
+
+def table_inclusion_maximal(closed):
+    """Clear, in place, every set entry of the boolean table ``closed``
+    that another set entry strictly contains."""
+    n = closed.size.bit_length() - 1
+    packed = np.packbits(closed, bitorder="little")
+    if packed.size < 8:
+        packed = np.pad(packed, (0, 8 - packed.size))
+    sup = packed.view("<u8")
+    _table_above(sup, n, sup)
+    above = np.zeros_like(sup)
+    _table_above(sup, n, above)
+    above_bytes = above.view(np.uint8)
+    for start in range(0, closed.size, _TABLE_BLOCK):
+        bits = np.unpackbits(
+            above_bytes[start >> 3 : (start + _TABLE_BLOCK) >> 3],
+            count=min(_TABLE_BLOCK, closed.size - start),
+            bitorder="little",
+        )
+        closed[start : start + _TABLE_BLOCK] &= bits == 0
+
+
+def _table_keep_where(closed, weight, test, value):
+    for start in range(0, closed.size, _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        closed[block] &= test(weight[block], value)
+
+
+def _table_lexicographic_first(tie):
+    chosen = base = 0
+    while not tie[0]:
+        k = next(k for k in range(tie.size.bit_length()) if tie[1 << k :: 2 << k].any())
+        chosen |= 1 << (base + k)
+        tie = tie[1 << k :: 2 << k]
+        base += k + 1
+    return chosen
+
+
+def brute_force_table_reference(inst: WeightedInstance) -> Solution:
+    """The earlier ``brute_force``, no cap: closure and weight tables of
+    all 2^n masks, narrowed in place to the answer."""
+    total = inst.total_weight()
+    dtype = next((d for d in (np.int16, np.int32) if total <= np.iinfo(d).max), np.int64)
+    weights = np.asarray(inst.weights, dtype=dtype)
+    budget = min(inst.budget, total)
+    succ, pred = neighbour_masks(inst.graph)
+    if inst.kind.is_weak:
+        closed, weight = table_weak_closed_subsets(np.array(pred, dtype=np.int64), weights)
+    else:
+        closed, weight = table_closed_subsets(np.array(succ, dtype=np.int64), weights)
+    _table_keep_where(closed, weight, np.less_equal, budget)
+    if inst.kind.is_maximal:
+        table_inclusion_maximal(closed)
+        best = int(weight.min(where=closed, initial=budget))
+    else:
+        best = int(weight.max(where=closed, initial=0))
+    _table_keep_where(closed, weight, np.equal, best)
+    return Solution(frozenset(mask_nodes(_table_lexicographic_first(closed))), best)

@@ -776,3 +776,35 @@ class TestConsoleScript:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert first == b"problem ssg\n" and err == b""
+
+    @staticmethod
+    def _closed_reader(*args):
+        """Exit code and stderr of ``dss args`` whose stdout reader closes
+        before the command writes, as ``| head -c0`` does: the pipe's read
+        end is closed while the interpreter is still starting."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dss.cli", *map(str, args)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
+    def test_classify_reader_closing_early(self, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("problem ssg\nbudget 3\nnode a 1\nnode b 2\narc a b\n")
+        assert self._closed_reader("classify", inst) == (0, b"")
+
+    @pytest.mark.parametrize("selected, code", [("b", 0), ("a", 1)])
+    def test_check_reader_closing_early(self, tmp_path, selected, code):
+        """``check`` keeps exit 1 for an infeasible solution ({a} misses
+        the arc a -> b) and exit 0 for a feasible one."""
+        inst = tmp_path / "i.txt"
+        inst.write_text("problem ssg\nbudget 3\nnode a 1\nnode b 2\narc a b\n")
+        sol = tmp_path / "s.txt"
+        weight = {"a": 1, "b": 2}[selected]
+        sol.write_text(f"weight {weight}\nselect {selected}\n")
+        assert self._closed_reader("check", inst, sol) == (code, b"")

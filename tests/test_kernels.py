@@ -156,12 +156,36 @@ _EDGE_CASES = {
 }
 
 
+def _tables(subsets):
+    """The closed and weight tables of all 2^n masks, put together from
+    the blocks of a ``Subsets``: under a budget of the total weight, a
+    block that ``feasible`` skips holds no closed mask."""
+    size = 1 << subsets.low
+    closed = np.zeros(size * subsets.high_weight.size, dtype=np.bool_)
+    total = int(subsets.weight[-1]) + int(subsets.high_weight[-1])
+    for high, _, block in subsets.feasible(total):
+        closed[high : high + size] = block
+    weight = (subsets.high_weight[:, None] + subsets.weight[None, :]).ravel()
+    return closed, weight
+
+
+def _inclusion_maximal(closed):
+    """``_kernels.inclusion_maximal`` on a boolean table, in place: packed
+    64 masks per word (one zero-padded word below n = 6) and unpacked."""
+    n = closed.size.bit_length() - 1
+    packed = np.zeros(max(closed.size >> 3, 8), dtype=np.uint8)
+    bits = np.packbits(closed, bitorder="little")
+    packed[: bits.size] = bits
+    _kernels.inclusion_maximal(packed.view("<u8"), n)
+    closed[:] = np.unpackbits(packed, count=closed.size, bitorder="little")
+
+
 class TestSubsetKernels:
     @pytest.mark.parametrize("case", _EDGE_CASES)
     def test_edge_cases_match_reference(self, case):
         masks, weights = _EDGE_CASES[case]
         for weak, kernel in ((False, _kernels.closed_subsets), (True, _kernels.weak_closed_subsets)):
-            got_c, got_w = kernel(masks, weights)
+            got_c, got_w = _tables(kernel(masks, weights))
             ref_c, ref_w = _closed_reference(masks, weights, weak=weak)
             assert np.array_equal(got_c, ref_c)
             assert np.array_equal(got_w, ref_w)
@@ -177,7 +201,7 @@ class TestSubsetKernels:
         weights = np.full(8, total // 8, dtype=dtype)
         weights[-1] += total % 8
         for weak, kernel in ((False, _kernels.closed_subsets), (True, _kernels.weak_closed_subsets)):
-            got_c, got_w = kernel(masks, weights)
+            got_c, got_w = _tables(kernel(masks, weights))
             ref_c, ref_w = _closed_reference(masks, weights, weak=weak)
             assert got_w.dtype == dtype and got_w[-1] == total
             assert np.array_equal(got_c, ref_c)
@@ -186,7 +210,7 @@ class TestSubsetKernels:
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_backends_agree(self, seed):
         masks, weights = _random_masks(seed, 8)
-        got_c, got_w = _kernels.closed_subsets(masks, weights)
+        got_c, got_w = _tables(_kernels.closed_subsets(masks, weights))
         ref_c, ref_w = _closed_reference(masks, weights)
         assert np.array_equal(got_c, ref_c)
         assert np.array_equal(got_w, ref_w)
@@ -194,14 +218,14 @@ class TestSubsetKernels:
     @pytest.mark.parametrize("seed", range(5))
     def test_weak_backends_agree(self, seed):
         masks, weights = _random_masks(seed, 8)
-        got_c, got_w = _kernels.weak_closed_subsets(masks, weights)
+        got_c, got_w = _tables(_kernels.weak_closed_subsets(masks, weights))
         ref_c, ref_w = _closed_reference(masks, weights, weak=True)
         assert np.array_equal(got_c, ref_c)
         assert np.array_equal(got_w, ref_w)
 
     def test_closed_literal_semantics(self):
         masks, weights = _random_masks(3, 6)
-        closed, weight = _kernels.closed_subsets(masks, weights)
+        closed, weight = _tables(_kernels.closed_subsets(masks, weights))
         for m in range(1 << 6):
             sel = [i for i in range(6) if (m >> i) & 1]
             expect_closed = all(m & masks[i] == masks[i] for i in sel)
@@ -210,13 +234,33 @@ class TestSubsetKernels:
 
     def test_weak_literal_semantics(self):
         masks, weights = _random_masks(4, 6)
-        closed, weight = _kernels.weak_closed_subsets(masks, weights)
+        closed, weight = _tables(_kernels.weak_closed_subsets(masks, weights))
         for m in range(1 << 6):
             expect_closed = all(
                 (m >> i) & 1 or masks[i] == 0 or m & masks[i] != masks[i]
                 for i in range(6)
             )
             assert bool(closed[m]) == expect_closed
+
+    @pytest.mark.parametrize("n", [16, 17, 19])
+    @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+    def test_blocks_match_table_reference(self, n, weak):
+        """Across the 2^16 boundary the blocks put together equal the
+        earlier whole tables: rules within the low nodes, rules with a
+        low and a high part, and (weak rule, in-neighbours all high) rules
+        with no low part that empty whole blocks."""
+        rng = np.random.default_rng(n)
+        masks = np.where(rng.random((n, n)) < 3 / n, 1, 0) * (1 << np.arange(n, dtype=np.int64))
+        masks = masks.sum(axis=1) & ~(np.int64(1) << np.arange(n, dtype=np.int64))
+        masks[0] = 0b11 << (n - 2)
+        masks[-1] = 1 << (n - 2)
+        weights = rng.integers(0, 9, size=n).astype(np.int16)
+        kernel = _kernels.weak_closed_subsets if weak else _kernels.closed_subsets
+        reference = oracles.table_weak_closed_subsets if weak else oracles.table_closed_subsets
+        got_c, got_w = _tables(kernel(masks, weights))
+        ref_c, ref_w = reference(masks, weights)
+        assert np.array_equal(got_c, ref_c)
+        assert np.array_equal(got_w, ref_w)
 
 
 def _inclusion_maximal_reference(closed):
@@ -236,7 +280,7 @@ class TestInclusionMaximal:
         for p in (0.05, 0.3, 0.7):
             closed = rng.random(1 << n) < p
             expected = _inclusion_maximal_reference(closed)
-            _kernels.inclusion_maximal(closed)
+            _inclusion_maximal(closed)
             assert np.array_equal(closed, expected)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 6, 7])
@@ -251,7 +295,7 @@ class TestInclusionMaximal:
         expected = np.zeros(size, dtype=np.bool_)
         if case != "none":
             expected[size - 1 if case == "all" else size // 3] = True
-        _kernels.inclusion_maximal(closed)
+        _inclusion_maximal(closed)
         assert np.array_equal(closed, expected)
 
     @pytest.mark.parametrize("n", [1, 6, 8])
@@ -264,7 +308,7 @@ class TestInclusionMaximal:
             for s in (0, full & ~(1 << i)):
                 closed = np.zeros(1 << n, dtype=np.bool_)
                 closed[[s, s | 1 << i]] = True
-                _kernels.inclusion_maximal(closed)
+                _inclusion_maximal(closed)
                 assert np.flatnonzero(closed).tolist() == [s | 1 << i]
 
     def test_sparse_table_across_blocks(self):
@@ -275,6 +319,6 @@ class TestInclusionMaximal:
         closed[rng.integers(0, 1 << 17, size=60)] = True
         closed[[0, 1, 1 << 16, (1 << 16) | 1, 5]] = True
         expected = _inclusion_maximal_reference(closed)
-        _kernels.inclusion_maximal(closed)
+        _inclusion_maximal(closed)
         assert np.array_equal(closed, expected)
         assert not closed[1] and not closed[0]
