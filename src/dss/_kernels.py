@@ -277,13 +277,17 @@ def _above(src, n, out):
     without i, on tables packed 64 masks per word.  With ``out`` being
     ``src`` the nodes act one after another, so the result is the OR over
     all supersets."""
-    tmp = np.empty_like(src)
-    for i in range(n):
-        if i < 6:
-            np.right_shift(src, np.uint64(1 << i), out=tmp)
-            tmp &= _IN_WORD[i]
-            out |= tmp
-            continue
+    # The in-word steps go one slice of at most BLOCK words at a time, so
+    # their shift temporary stays that small; slices are independent.
+    tmp = np.empty(min(src.size, BLOCK), dtype=src.dtype)
+    for at in range(0, src.size, BLOCK):
+        part, dst = src[at : at + BLOCK], out[at : at + BLOCK]
+        t = tmp[: part.size]
+        for i in range(min(n, 6)):
+            np.right_shift(part, np.uint64(1 << i), out=t)
+            t &= _IN_WORD[i]
+            dst |= t
+    for i in range(6, n):
         # Node i pairs the words of each group of 2^(i-5): the lower half
         # takes the upper.  Up to 8 words a half, the (groups, half) views
         # are walked half-major in C order, so each of the few inner loops

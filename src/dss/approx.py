@@ -73,6 +73,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .graph import Digraph, _topological_order, condense, mask_nodes, neighbour_masks
 from .instance import ProblemKind, Solution, WeightedInstance
 
@@ -280,8 +282,9 @@ def ptas_maximal_ssg(inst: WeightedInstance, k: int) -> ApproxResult:
     rank = [0] * g.n
     for i, v in enumerate(node_of):
         rank[v] = i
+    relabel = np.array(rank, dtype=np.int64)
     r = _Reach(
-        Digraph(g.n, [(rank[u], rank[v]) for u, v in g.arcs]),
+        Digraph.from_ids(g.n, relabel[g.tail], relabel[g.head]),
         [rank[v] for v in order],
         [weights[v] for v in node_of],
     )

@@ -354,7 +354,7 @@ def cmd_classify(args) -> int:
     inst, _labels = formats.parse_instance(_read(args.instance))
     g = inst.graph
     with _output(None) as fh:
-        fh.write(f"class {classify(g).value}\nnodes {g.n}\narcs {len(g.arcs)}\n")
+        fh.write(f"class {classify(g).value}\nnodes {g.n}\narcs {g.m}\n")
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import Digraph, condense
+import numpy as np
+
+from .graph import Digraph, condense, is_dag
 from .instance import ProblemKind, Solution, WeightedInstance
 
 
@@ -37,11 +39,13 @@ class FeasibilityReport:
 
 def check_digraph_closure(g: Digraph, s) -> Optional[tuple[int, int]]:
     """First arc (x,y) with x selected and y not; None when closed."""
-    sel = g._check_nodes(s)
-    for u, v in g.arcs:  # arcs are stored sorted, so the witness is minimal
-        if u in sel and v not in sel:
-            return (u, v)
-    return None
+    picked = np.zeros(g.n, dtype=np.bool_)
+    picked[list(g._check_nodes(s))] = True
+    # Arcs are stored sorted, so the first violating arc is the minimal one.
+    bad = np.flatnonzero(picked[g.tail] & ~picked[g.head])
+    if bad.size == 0:
+        return None
+    return int(g.tail[bad[0]]), int(g.head[bad[0]])
 
 
 def check_weak_closure(g: Digraph, s) -> Optional[int]:
@@ -87,11 +91,20 @@ def _maximality_strong(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
 
     Works on the condensation, so it is correct on general digraphs: a
     closed set is a union of strongly connected components, and it is
-    extendable iff some sink component of the unselected part fits.
+    extendable iff some sink component of the unselected part fits.  On
+    an acyclic graph every component is one node, and the nodes are
+    tested directly.
     """
-    cond = condense(inst.graph, inst.weights)
-    sel_comps = {cond.component_of[v] for v in sel}
+    g = inst.graph
     total = inst.weight_of(sel)
+    if is_dag(g):
+        room = inst.budget - total
+        for v, (w, succ) in enumerate(zip(inst.weights, g.out_adj)):
+            if w <= room and v not in sel and all(u in sel for u in succ):
+                return v
+        return None
+    cond = condense(g, inst.weights)
+    sel_comps = {cond.component_of[v] for v in sel}
     rest = [c for c in range(cond.dag.n) if c not in sel_comps]
     best: Optional[int] = None
     for c in rest:

@@ -66,7 +66,8 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
     labels: list[str] = []
     index: dict[str, int] = {}
     weights: list[int] = []
-    arcs: list[tuple[int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
     try:
         # ``_lines`` inlined: on large files the generator alone costs about
         # a quarter of this loop.  Arc lines, the most common, come first.
@@ -86,7 +87,8 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
                     raise ParseError(f"undeclared node label {exc.args[0]!r}", lineno)
                 if u == v:
                     raise ParseError(f"loop arc at {parts[1]!r}", lineno)
-                arcs.append((u, v))
+                tails.append(u)
+                heads.append(v)
             elif key == "node":
                 if len(parts) != 3:
                     raise ParseError("expected: node <label> <weight>", lineno)
@@ -117,7 +119,8 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
             raise ParseError("missing problem line")
         if budget is None:
             raise ParseError("missing budget line")
-        inst = WeightedInstance(Digraph(len(labels), arcs), tuple(weights), budget, kind)
+        graph = Digraph.from_ids(len(labels), tails, heads)
+        inst = WeightedInstance(graph, tuple(weights), budget, kind)
     except (ParseError, GraphError, InstanceError) as exc:
         # Arcs are checked for repeats only when the graph is built, but a
         # repeat must still be reported before any later error.
@@ -164,12 +167,12 @@ def write_instance(inst: WeightedInstance, labels: list[str], fh: TextIO) -> Non
     """Write the instance file of ``inst`` to the open text handle ``fh``,
     at most ``CHUNK_LINES`` lines per ``fh.write``."""
     fh.write(f"problem {inst.kind.value}\nbudget {inst.budget}\n")
-    weights, arcs = inst.weights, inst.graph.arcs
+    weights, g = inst.weights, inst.graph
     for i in range(0, len(weights), CHUNK_LINES):
         nodes = zip(labels[i:i + CHUNK_LINES], weights[i:i + CHUNK_LINES])
         fh.write("".join([f"node {label} {w}\n" for label, w in nodes]))
-    for i in range(0, len(arcs), CHUNK_LINES):
-        chunk = arcs[i:i + CHUNK_LINES]
+    for i in range(0, g.m, CHUNK_LINES):
+        chunk = zip(g.tail[i:i + CHUNK_LINES].tolist(), g.head[i:i + CHUNK_LINES].tolist())
         fh.write("".join([f"arc {labels[u]} {labels[v]}\n" for u, v in chunk]))
 
 

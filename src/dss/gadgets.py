@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .graph import Digraph, GraphClass, is_dag, is_underlying_connected
 from .instance import InstanceError, ProblemKind, WeightedInstance
 
@@ -234,18 +236,17 @@ def graph_to_ssgw(
     if not kind.is_weak:
         raise InstanceError("reduction targets the weak-closure kinds")
     src = spec.source
-    n = src.n
-    labels = [f"v{i}" for i in range(n)]
-    arcs = []
-    for ei, (u, v) in enumerate(src.edges):
-        labels.append(f"e{u}_{v}")
-        arcs.append((u, n + ei))
-        arcs.append((v, n + ei))
-    weights = [1] * n + [n + 1] * len(src.edges)
-    inst = WeightedInstance(
-        Digraph(len(labels), arcs), tuple(weights), n, kind
+    n, m = src.n, len(src.edges)
+    labels = [f"v{i}" for i in range(n)] + [f"e{u}_{v}" for u, v in src.edges]
+    # Edge node n + i has both ends of edge i as its in-neighbours.
+    edge_node = np.arange(n, n + m)
+    graph = Digraph.from_ids(
+        n + m,
+        np.concatenate((src.graph.tail, src.graph.head)),
+        np.concatenate((edge_node, edge_node)),
     )
-    return inst, labels
+    weights = [1] * n + [n + 1] * m
+    return WeightedInstance(graph, tuple(weights), n, kind), labels
 
 
 # ---------------------------------------------------------------------------
@@ -294,49 +295,55 @@ def random_instance(
     if not 0 <= arc_prob <= 1:
         raise InstanceError("arc_prob must lie in [0, 1]")
     rng = random.Random(seed)
-    arcs: list[tuple[int, int]] = []
+    # The arcs are tails[i] -> heads[i], drawn in a fixed order.
+    tails: list[int] = []
+    heads: list[int] = []
     if graph_class is GraphClass.GENERAL:
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < arc_prob:
-                    arcs.append((u, v))
+                    tails.append(u)
+                    heads.append(v)
     elif graph_class is GraphClass.DAG:
         order = list(range(n))
         rng.shuffle(order)
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < arc_prob:
-                    arcs.append((order[i], order[j]))
+                    tails.append(order[i])
+                    heads.append(order[j])
     elif graph_class in (GraphClass.FOREST, GraphClass.ORIENTED_TREE):
         for i in range(1, n):
             if graph_class is GraphClass.FOREST and rng.random() < 0.3:
                 continue  # start a new component
             j = rng.randrange(i)
-            arcs.append((i, j) if rng.random() < 0.5 else (j, i))
+            tail, head = (i, j) if rng.random() < 0.5 else (j, i)
+            tails.append(tail)
+            heads.append(head)
     elif graph_class in (GraphClass.OUT_ROOTED_TREE, GraphClass.IN_ROOTED_TREE):
         perm = list(range(n))
         rng.shuffle(perm)
         for i in range(1, n):
-            j = rng.randrange(i)
-            child, parent = perm[i], perm[j]
-            if graph_class is GraphClass.OUT_ROOTED_TREE:
-                arcs.append((child, parent))
-            else:
-                arcs.append((parent, child))
+            tails.append(perm[i])
+            heads.append(perm[rng.randrange(i)])
+        if graph_class is GraphClass.IN_ROOTED_TREE:
+            tails, heads = heads, tails  # each arc from parent to child
     elif graph_class is GraphClass.TOURNAMENT:
         order = list(range(n))
         rng.shuffle(order)
-        for i in range(n):
-            for j in range(i + 1, n):
-                arcs.append((order[i], order[j]))
+        # Every pair i < j of positions, as an arc order[i] -> order[j].
+        i, j = np.triu_indices(n, 1)
+        order = np.array(order)
+        tails, heads = order[i], order[j]
     elif graph_class is GraphClass.BALANCED_DEGREE_TWO:
         if n < 3:
             raise InstanceError("balanced-degree-two needs n >= 3")
         perm = list(range(n))
         rng.shuffle(perm)
-        for i in range(n):
-            arcs.append((perm[i], perm[(i + 1) % n]))
-            arcs.append((perm[i], perm[(i + 2) % n]))
+        perm = np.array(perm)
+        # perm[i] -> perm[i + 1] and perm[i] -> perm[i + 2], cyclically.
+        tails = np.concatenate((perm, perm))
+        heads = np.concatenate((np.roll(perm, -1), np.roll(perm, -2)))
     else:
         raise InstanceError(f"unsupported class {graph_class}")
     weights = tuple(rng.randint(0, weight_max) for _ in range(n))
@@ -350,4 +357,4 @@ def random_instance(
         budget = int(value)
     else:
         raise InstanceError(f"unknown budget rule {rule!r}")
-    return WeightedInstance(Digraph(n, arcs), weights, budget, kind)
+    return WeightedInstance(Digraph.from_ids(n, tails, heads), weights, budget, kind)

@@ -1,8 +1,14 @@
 """Simple digraphs with the traversal and structure machinery the solvers need.
 
 Nodes are dense integers 0..n-1.  Graphs are immutable and hashable.
-The structural predicates behind ``classify`` and the condensation live
-here; the condensation is built once per graph and kept on it.
+A ``Digraph`` stores its arcs as two sorted int64 id arrays, ``tail`` and
+``head``.  Code that produces graphs hands them over as two id lists or
+arrays (``Digraph.from_ids``); ``Digraph(n, arcs)`` takes pairs and checks
+them first.  The sorted tuple of pairs ``arcs`` and the adjacency tuples
+``out_adj`` and ``in_adj`` are built on first read and kept, so a graph
+that is only written out or counted never builds them.  The structural predicates behind ``classify`` and the
+condensation live here: degree tests use ``np.bincount`` over the
+arrays, and the condensation is built once per graph and kept on it.
 
 This module owns the mask representation of node sets that the solvers
 share: a set is a Python int with bit v set for node v.
@@ -15,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,36 +43,7 @@ class GraphClass(enum.Enum):
     BALANCED_DEGREE_TWO = "balanced-degree-two"
 
 
-def sorted_pairs(n: int, pairs: list) -> Optional[tuple]:
-    """``pairs`` in increasing order, as a tuple of the caller's own pair
-    objects; None when a pair is not two int64 values in ``range(n)``, is
-    a loop or repeats another.
-
-    One numpy sort of the codes ``u*n + v`` replaces a set and a sort of
-    tuples.  numpy also converts ``1.0`` or ``"1"`` to ``1``; ``Digraph``
-    rejects such ids when it indexes its adjacency lists by them.
-    """
-    m = len(pairs)
-    if m == 0:
-        return ()
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * m)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    tail, head = flat[0::2], flat[1::2]
-    if flat.min() < 0 or flat.max() >= n or (tail == head).any():
-        return None
-    code = tail * n
-    code += head
-    del flat, tail, head
-    order = np.argsort(code)
-    code = code[order]
-    if (code[1:] == code[:-1]).any():
-        return None
-    return tuple(np.fromiter(pairs, dtype=object, count=m)[order])
-
-
-def _arc_error(n: int, arcs: list) -> GraphError:
+def _arc_error(n: int, arcs) -> GraphError:
     """Why ``arcs`` cannot be the arcs of a digraph on ``n`` nodes: an arc
     that is not a pair of integers, else a duplicate, else the first arc
     in sorted order that is out of range or a loop."""
@@ -86,10 +62,30 @@ def _arc_error(n: int, arcs: list) -> GraphError:
     return GraphError("arcs must be pairs of integer node ids")
 
 
-class Digraph:
-    """Immutable simple digraph: no loops, no duplicate arcs."""
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Per node v the tuple of ``dst[i]`` over the arcs i with
+    ``src[i] == v``, in arc order."""
+    adj: list = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        adj[u].append(v)
+    # Each list becomes a tuple in place, so the lists and the tuples are
+    # never all alive at once.
+    for v, nbrs in enumerate(adj):
+        adj[v] = tuple(nbrs)
+    return tuple(adj)
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj", "_condensed")
+
+class Digraph:
+    """Immutable simple digraph: no loops, no duplicate arcs.
+
+    The arcs are held as two read-only int64 arrays, ``tail`` and
+    ``head``, sorted by (tail, head); ``m`` is their length.  ``arcs``
+    (the sorted tuple of pairs), ``out_adj`` and ``in_adj`` (a tuple of
+    neighbour tuples per node, each sorted) are built on first read and
+    kept.
+    """
+
+    __slots__ = ("n", "m", "tail", "head", "arcs", "out_adj", "in_adj", "_condensed")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -97,36 +93,81 @@ class Digraph:
         # A list or tuple is read in place; a one-shot iterable is copied,
         # since ``_arc_error`` must read the arcs again.
         raw = arcs if isinstance(arcs, (list, tuple)) else list(arcs)
-        ordered = sorted_pairs(n, raw)
-        if ordered is None:
-            raise _arc_error(n, raw)
-        out_adj: list = [[] for _ in range(n)]
-        in_adj: list = [[] for _ in range(n)]
+        # Each arc must be a pair of integers: ``operator.index`` refuses
+        # ``1.0`` and ``"1"``, which numpy alone would read as 1.
         try:
-            for u, v in ordered:
-                out_adj[u].append(v)
-                in_adj[v].append(u)
-        except (TypeError, ValueError):  # ids numpy took for integers, e.g. 1.0
+            if not set(map(len, raw)) <= {2}:
+                raise TypeError
+            tail, head = (
+                np.fromiter(map(operator.index, map(operator.itemgetter(i), raw)), np.int64, len(raw))
+                for i in (0, 1)
+            )
+        except (TypeError, ValueError, OverflowError):
             raise _arc_error(n, raw) from None
-        # Each list becomes a tuple in place, so the lists and the tuples
-        # are never all alive at once.
-        for adj in (out_adj, in_adj):
-            for v, nbrs in enumerate(adj):
-                adj[v] = tuple(nbrs)
-        self.n = n
-        self.arcs = ordered
-        self.out_adj = tuple(out_adj)
-        self.in_adj = tuple(in_adj)
+        self._fill(n, tail, head, raw)
+
+    @classmethod
+    def from_ids(cls, n: int, tail, head) -> Digraph:
+        """The digraph on ``n`` nodes with an arc ``tail[i] -> head[i]``
+        for each i: two id lists or arrays of one length, in any order."""
+        g = object.__new__(cls)
+        g._fill(n, tail, head, None)
+        return g
+
+    def _fill(self, n: int, tail, head, raw) -> None:
+        """Check the arcs ``tail[i] -> head[i]``, sort them and set ``n``,
+        ``m``, ``tail`` and ``head``.  ``raw`` is the caller's list of
+        pairs, read again for the error, or None."""
+        try:
+            tail = np.asarray(tail, dtype=np.int64)
+            head = np.asarray(head, dtype=np.int64)
+        except OverflowError:  # an id beyond int64
+            bad = True
+        else:
+            bad = len(tail) and (
+                min(tail.min(), head.min()) < 0
+                or max(tail.max(), head.max()) >= n
+                or (tail == head).any()
+            )
+        if bad:
+            raise _arc_error(n, list(zip(tail, head)) if raw is None else raw)
+        # Sort the codes u*n + v, which cannot overflow once the ids lie in
+        # range(n); a repeated arc shows as two equal neighbours.
+        code = tail * n
+        code += head
+        code.sort()
+        if (code[1:] == code[:-1]).any():
+            raise GraphError("duplicate arc")
+        tail = code // n
+        head = np.remainder(code, n, out=code)
+        tail.flags.writeable = head.flags.writeable = False
+        self.n, self.m, self.tail, self.head = n, len(code), tail, head
+
+    def __getattr__(self, name: str):
+        # Python calls this only for a slot not yet set.
+        if name == "arcs":
+            value = tuple(zip(self.tail.tolist(), self.head.tolist()))
+        elif name == "out_adj":
+            value = _adjacency(self.n, self.tail, self.head)
+        elif name == "in_adj":
+            # Arcs are sorted by tail, so each node's in-neighbours arrive
+            # in increasing order.
+            value = _adjacency(self.n, self.head, self.tail)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.arcs == other.arcs
+            and np.array_equal(self.tail, other.tail)
+            and np.array_equal(self.head, other.head)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.tail.tobytes(), self.head.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={list(self.arcs)!r})"
@@ -147,7 +188,7 @@ def neighbour_masks(g: Digraph) -> tuple[list[int], list[int]]:
     bit u of ``pred[v]`` when u -> v is."""
     succ = [0] * g.n
     pred = [0] * g.n
-    for u, v in g.arcs:
+    for u, v in zip(g.tail.tolist(), g.head.tolist()):
         succ[u] |= 1 << v
         pred[v] |= 1 << u
     return succ, pred
@@ -167,13 +208,14 @@ def is_dag(g: Digraph) -> bool:
 
 def _topological_order(g: Digraph) -> list[int]:
     """Kahn's algorithm; returns fewer than n nodes when a circuit exists."""
-    indeg = [len(g.in_adj[v]) for v in range(g.n)]
-    ready = [v for v in range(g.n) if indeg[v] == 0]
+    indeg = np.bincount(g.head, minlength=g.n).tolist()
+    ready = [v for v, d in enumerate(indeg) if d == 0]
+    out_adj = g.out_adj
     order = []
     while ready:
         u = ready.pop()
         order.append(u)
-        for v in g.out_adj[u]:
+        for v in out_adj[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
@@ -192,7 +234,10 @@ class Condensation:
 
 
 def _strongly_connected_components(g: Digraph) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological discovery order."""
+    """Iterative Tarjan; components in reverse topological discovery order.
+    Each frame of the DFS holds an iterator over its node's out-neighbours,
+    so a resumed node goes on where it left off."""
+    out_adj = g.out_adj
     index = [-1] * g.n
     low = [0] * g.n
     on_stack = [False] * g.n
@@ -202,62 +247,61 @@ def _strongly_connected_components(g: Digraph) -> list[list[int]]:
     for root in range(g.n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(out_adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(g.out_adj[v])):
-                w = g.out_adj[v][i]
+            v, it = work[-1]
+            for w in it:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out_adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
 
 
 def _condensation(g: Digraph) -> tuple:
     """(dag, component_of, members) of ``g``."""
     comps = _strongly_connected_components(g)
+    k = len(comps)
     raw_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:
             raw_of[v] = ci
-    raw_arcs = {
-        (raw_of[u], raw_of[v]) for u, v in g.arcs if raw_of[u] != raw_of[v]
-    }
+    raw_of = np.array(raw_of, dtype=np.int64)
+    # The arcs between components, each once, sorted: codes a*k + b.
+    a, b = raw_of[g.tail], raw_of[g.head]
+    cross = a != b
+    a, b = np.divmod(np.unique(a[cross] * k + b[cross]), k)
     # Renumber components: topological order, ties by smallest member id.
-    k = len(comps)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for a, b in raw_arcs:
-        succ[a].add(b)
-    for a in range(k):
-        for b in succ[a]:
-            indeg[b] += 1
-    ready = [(min(comps[c]), c) for c in range(k) if indeg[c] == 0]
+    succ: list[list[int]] = [[] for _ in range(k)]
+    for x, y in zip(a.tolist(), b.tolist()):
+        succ[x].append(y)
+    indeg = np.bincount(b, minlength=k).tolist()
+    least = [min(comp) for comp in comps]
+    ready = [(least[c], c) for c in range(k) if indeg[c] == 0]
     heapq.heapify(ready)
     new_id = [-1] * k
     order = []
@@ -265,13 +309,14 @@ def _condensation(g: Digraph) -> tuple:
         _, c = heapq.heappop(ready)
         new_id[c] = len(order)
         order.append(c)
-        for b in succ[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(ready, (min(comps[b]), b))
-    dag = Digraph(k, [(new_id[a], new_id[b]) for a, b in raw_arcs])
+        for y in succ[c]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(ready, (least[y], y))
+    renumber = np.array(new_id, dtype=np.int64)
+    dag = Digraph.from_ids(k, renumber[a], renumber[b])
     members = tuple(tuple(sorted(comps[c])) for c in order)
-    component_of = tuple(new_id[raw_of[v]] for v in range(g.n))
+    component_of = tuple(renumber[raw_of].tolist())
     return dag, component_of, members
 
 
@@ -289,10 +334,16 @@ def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
     return Condensation(dag, component_of, component_weight, members)
 
 
+def _at_most_one_each(ids: np.ndarray) -> bool:
+    """No id occurs twice in ``ids``: as tails, out-degrees at most 1; as
+    heads, in-degrees at most 1."""
+    return ids.size == 0 or int(np.bincount(ids).max()) <= 1
+
+
 def is_underlying_forest(g: Digraph) -> bool:
     """True when the underlying undirected graph is acyclic and simple:
     an opposite arc pair joins two nodes already joined, so it is a cycle."""
-    if g.n and len(g.arcs) >= g.n:
+    if g.n and g.m >= g.n:
         return False  # a forest has at most n - 1 edges
     parent = list(range(g.n))
 
@@ -302,7 +353,7 @@ def is_underlying_forest(g: Digraph) -> bool:
             x = parent[x]
         return x
 
-    for u, v in g.arcs:
+    for u, v in zip(g.tail.tolist(), g.head.tolist()):
         ru, rv = find(u), find(v)
         if ru == rv:
             return False
@@ -326,35 +377,37 @@ def is_underlying_connected(g: Digraph) -> bool:
 
 def is_underlying_tree(g: Digraph) -> bool:
     """A forest with n - 1 edges has one component."""
-    return len(g.arcs) == max(g.n - 1, 0) and is_underlying_forest(g)
+    return g.m == max(g.n - 1, 0) and is_underlying_forest(g)
 
 
 def is_tournament(g: Digraph) -> bool:
     """Exactly one arc between every pair of distinct nodes."""
-    if len(g.arcs) != g.n * (g.n - 1) // 2:
+    n = g.n
+    if g.m != n * (n - 1) // 2:
         return False
     # With n(n-1)/2 distinct arcs and no loops, every pair holds exactly
-    # one arc iff no pair holds two.
-    return all(set(g.out_adj[v]).isdisjoint(g.in_adj[v]) for v in range(g.n))
+    # one arc iff no arc's reverse, as a code u*n + v, is an arc's code.
+    return not np.isin(g.head * n + g.tail, g.tail * n + g.head).any()
 
 
 def is_balanced_degree_two(g: Digraph) -> bool:
     """Every node has in-degree 2 and out-degree 2 (Eulerian case)."""
-    if g.n == 0:
+    if g.n == 0 or g.m != 2 * g.n:
         return False
-    return all(
-        len(g.out_adj[v]) == 2 and len(g.in_adj[v]) == 2 for v in range(g.n)
+    return bool(
+        (np.bincount(g.tail, minlength=g.n) == 2).all()
+        and (np.bincount(g.head, minlength=g.n) == 2).all()
     )
 
 
 def is_out_rooted_tree(g: Digraph) -> bool:
     """Oriented tree where every node but the unique anti-root has
     out-degree 1 (all arcs point toward the anti-root)."""
-    return g.n > 0 and all(len(a) <= 1 for a in g.out_adj) and is_underlying_tree(g)
+    return g.n > 0 and _at_most_one_each(g.tail) and is_underlying_tree(g)
 
 
 def is_in_rooted_tree(g: Digraph) -> bool:
-    return g.n > 0 and all(len(a) <= 1 for a in g.in_adj) and is_underlying_tree(g)
+    return g.n > 0 and _at_most_one_each(g.head) and is_underlying_tree(g)
 
 
 def classify(g: Digraph) -> GraphClass:
@@ -370,10 +423,10 @@ def classify(g: Digraph) -> GraphClass:
         return GraphClass.GENERAL
     if not is_underlying_forest(g):
         return GraphClass.DAG
-    if len(g.arcs) != g.n - 1:
+    if g.m != g.n - 1:
         return GraphClass.FOREST
-    if all(len(a) <= 1 for a in g.out_adj):
+    if _at_most_one_each(g.tail):
         return GraphClass.OUT_ROOTED_TREE
-    if all(len(a) <= 1 for a in g.in_adj):
+    if _at_most_one_each(g.head):
         return GraphClass.IN_ROOTED_TREE
     return GraphClass.ORIENTED_TREE

@@ -24,6 +24,12 @@ winners alike.
 ``ptas_maximal_ssg``, kept verbatim but for building its own ``_Reach``,
 to pin the rank-ordered one on graphs too large for
 ``ptas_maximal_ssg_oracle``.
+The structural facts that ``graph`` reads off its sorted arc arrays
+(degree tests, the tournament test, ``classify``, the closure witness
+and the condensation) have definitions here on the adjacency tuples and
+on reachability.  ``maximality_strong_oracle`` is the earlier
+condensation-only ``_maximality_strong``, kept verbatim to pin the
+node-by-node test on acyclic graphs.
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ import numpy as np
 from dss import (
     ApproxResult,
     Digraph,
+    GraphClass,
     GraphError,
     ProblemKind,
     Solution,
@@ -60,7 +67,8 @@ def reference_digraph(n: int, arcs) -> Digraph:
     """The ``Digraph`` constructor as a set and a sort of tuples: the arcs
     are ``sorted(set(arcs))``, a repeat is an error, then one scan checks
     each arc in sorted order for range and then for a loop and fills the
-    adjacency.  Builds the instance without calling ``Digraph.__init__``."""
+    adjacency.  Builds the instance without calling ``Digraph.__init__``:
+    ``tail`` and ``head`` are the columns of the sorted arcs."""
     if n < 0:
         raise GraphError("node count must be nonnegative")
     raw = list(arcs)
@@ -78,6 +86,9 @@ def reference_digraph(n: int, arcs) -> Digraph:
         in_adj[v].append(u)
     g = object.__new__(Digraph)
     g.n = n
+    g.m = len(arc_list)
+    g.tail = np.array([u for u, _ in arc_list], dtype=np.int64)
+    g.head = np.array([v for _, v in arc_list], dtype=np.int64)
     g.arcs = tuple(arc_list)
     g.out_adj = tuple(tuple(a) for a in out_adj)
     g.in_adj = tuple(tuple(a) for a in in_adj)
@@ -140,6 +151,118 @@ def is_tournament_oracle(n: int, arcs) -> bool:
         ((u, v) in arc_set) != ((v, u) in arc_set)
         for u, v in itertools.combinations(range(n), 2)
     )
+
+
+# The structural facts ``graph`` reads off its sorted arc arrays, defined
+# on the adjacency tuples instead.
+
+
+def is_balanced_degree_two_oracle(g: Digraph) -> bool:
+    return g.n > 0 and all(
+        len(g.out_adj[v]) == 2 and len(g.in_adj[v]) == 2 for v in range(g.n)
+    )
+
+
+def out_degrees_at_most_one(g: Digraph) -> bool:
+    return all(len(a) <= 1 for a in g.out_adj)
+
+
+def in_degrees_at_most_one(g: Digraph) -> bool:
+    return all(len(a) <= 1 for a in g.in_adj)
+
+
+def _acyclic_oracle(g: Digraph) -> bool:
+    """Repeatedly drop a node with no remaining in-neighbour."""
+    left = set(range(g.n))
+    while True:
+        free = [v for v in left if not any(u in left for u in g.in_adj[v])]
+        if not free:
+            return not left
+        left -= set(free)
+
+
+def underlying_forest_oracle(g: Digraph) -> bool:
+    """The undirected edges are distinct (no opposite pair) and closing
+    none of them joins two nodes already joined."""
+    edges = {frozenset(a) for a in g.arcs}
+    if len(edges) != len(g.arcs):
+        return False
+    comp = list(range(g.n))
+    for u, v in map(tuple, edges):
+        if comp[u] == comp[v]:
+            return False
+        old = comp[u]
+        comp = [comp[v] if c == old else c for c in comp]
+    return True
+
+
+def underlying_tree_oracle(g: Digraph) -> bool:
+    """A forest with one component; the empty graph counts as a tree."""
+    return underlying_forest_oracle(g) and len(g.arcs) == max(g.n - 1, 0)
+
+
+def classify_oracle(g: Digraph) -> GraphClass:
+    """``classify`` on the adjacency-based definitions."""
+    if is_tournament_oracle(g.n, g.arcs):
+        return GraphClass.TOURNAMENT
+    if is_balanced_degree_two_oracle(g):
+        return GraphClass.BALANCED_DEGREE_TWO
+    if not _acyclic_oracle(g):
+        return GraphClass.GENERAL
+    if not underlying_forest_oracle(g):
+        return GraphClass.DAG
+    if not underlying_tree_oracle(g):
+        return GraphClass.FOREST
+    if out_degrees_at_most_one(g):
+        return GraphClass.OUT_ROOTED_TREE
+    if in_degrees_at_most_one(g):
+        return GraphClass.IN_ROOTED_TREE
+    return GraphClass.ORIENTED_TREE
+
+
+def closure_witness_oracle(g: Digraph, s: set[int]) -> Optional[tuple[int, int]]:
+    """The smallest arc that leaves ``s``."""
+    return min(((u, v) for u, v in g.arcs if u in s and v not in s), default=None)
+
+
+def condensation_oracle(g: Digraph) -> tuple:
+    """(dag arcs, component_of, members): components by mutual
+    reachability, numbered in topological order with ties by smallest
+    member, found by repeatedly taking the ready component of smallest
+    member."""
+    comps = sorted(scc_oracle(g.n, g.arcs), key=min)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    cross = {(comp_of[u], comp_of[v]) for u, v in g.arcs if comp_of[u] != comp_of[v]}
+    order: list[int] = []
+    while len(order) < len(comps):
+        ready = [
+            c for c in range(len(comps))
+            if c not in order and all(a in order for a, b in cross if b == c)
+        ]
+        order.append(min(ready, key=lambda c: min(comps[c])))
+    new_id = {c: i for i, c in enumerate(order)}
+    dag_arcs = tuple(sorted((new_id[a], new_id[b]) for a, b in cross))
+    members = tuple(tuple(sorted(comps[c])) for c in order)
+    return dag_arcs, tuple(new_id[comp_of[v]] for v in range(g.n)), members
+
+
+def maximality_strong_oracle(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
+    """The earlier ``_maximality_strong``, kept verbatim: the smallest
+    member of a fitting sink component of the unselected part of the
+    condensation, whatever the graph."""
+    cond = condense(inst.graph, inst.weights)
+    sel_comps = {cond.component_of[v] for v in sel}
+    total = inst.weight_of(sel)
+    rest = [c for c in range(cond.dag.n) if c not in sel_comps]
+    best: Optional[int] = None
+    for c in rest:
+        if any(d not in sel_comps for d in cond.dag.out_adj[c]):
+            continue  # not a sink of the unselected part
+        if total + cond.component_weight[c] <= inst.budget:
+            rep = cond.members[c][0]
+            if best is None or rep < best:
+                best = rep
+    return best
 
 
 def strong_closed(arcs, s: set[int]) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from conftest import C5_EDGES, make_instance
 
 from dss import (
     Digraph,
+    GraphClass,
     ISGadgetSpec,
     ProblemKind,
     Solution,
@@ -20,8 +23,10 @@ from dss import (
     graph_to_ssgw,
     is_feasible,
     verify_solution,
+    random_instance,
     weak_closure_completion,
 )
+from dss.constraints import _maximality_strong
 from test_graph import digraphs
 
 
@@ -202,6 +207,27 @@ class TestMaximality:
                 s = frozenset(combo)
                 report = check_maximal(inst, s)
                 assert report.feasible == (s in literal)
+
+
+class TestMaximalityStrongOnDags:
+    """On an acyclic graph the strong maximality test reads the nodes
+    directly; it must give the witness the condensation gives."""
+
+    @pytest.mark.parametrize(
+        "cls", [GraphClass.ORIENTED_TREE, GraphClass.OUT_ROOTED_TREE, GraphClass.DAG, GraphClass.GENERAL],
+        ids=lambda c: c.value,
+    )
+    def test_matches_condensation(self, cls):
+        rng = random.Random(5)
+        for seed in range(60):
+            n = rng.randint(1, 14)
+            inst = random_instance(cls, n, seed=seed, kind=ProblemKind.MAXIMAL_SSG, arc_prob=0.2)
+            for i in range(6):
+                # Random sets, and their descendant closures.
+                sel = set(rng.sample(range(n), rng.randint(0, n)))
+                if i % 2:
+                    sel = oracles.descendants_oracle(n, inst.graph.arcs, sel)
+                assert _maximality_strong(inst, sel) == oracles.maximality_strong_oracle(inst, sel)
 
 
 class TestEvaluate:

@@ -114,10 +114,11 @@ class TestBruteForce:
     @pytest.mark.parametrize("kind", [ProblemKind.SSG, ProblemKind.MAXIMAL_SSG], ids=lambda k: k.value)
     def test_peak_memory_past_cap(self, kind):
         """cap=24: 256 blocks.  ssg holds what it holds at n = 20 (0.49 MB
-        measured); the maximal kinds hold three packed tables of 2 MB
-        (6.9 MB measured).  Whole tables would take 50 MB."""
+        measured); the maximal kinds hold two packed tables of 2 MB and a
+        shift temporary of ``BLOCK`` words (5.3 MB measured; 6.9 MB with a
+        temporary as large as the table).  Whole tables would take 50 MB."""
         inst = random_instance(GraphClass.DAG, 24, seed=3, arc_prob=0.1, kind=kind)
-        assert self._peak(inst, cap=24) < (8e6 if kind.is_maximal else 0.8e6)
+        assert self._peak(inst, cap=24) <= (5.6e6 if kind.is_maximal else 0.8e6)
 
     @pytest.mark.parametrize("case", ["empty", "full", "one", "sparse", "dense", "all"])
     def test_lexicographic_first_matches_index_rule(self, case):

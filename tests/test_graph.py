@@ -1,7 +1,9 @@
+import itertools
 import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from dss import (
 from dss import graph as graph_module
 from dss.approx import _Reach
 from dss.cli import SOLVERS, _solve_auto
+from dss.constraints import check_digraph_closure
 from dss.graph import (
     _topological_order,
     is_balanced_degree_two,
@@ -40,14 +43,50 @@ from dss.graph import (
 )
 
 
-def random_digraph(draw, max_n=8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def random_digraph(draw, max_n=8, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Digraph(n, arcs)
 
 
 digraphs = st.composite(random_digraph)
+
+
+@st.composite
+def structured_digraphs(draw):
+    """Random digraphs from n = 0, and the shapes they rarely hit: DAGs,
+    oriented forests and trees (rooted or not), tournaments and near
+    tournaments, graphs with every in- and out-degree 2, and graphs with
+    every out-degree 2."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    perm = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(
+        ["any", "dag", "forest", "tree", "out-tree", "in-tree", "tournament", "balanced", "out-degree-two"]
+    ))
+    if shape == "any" or n == 0:
+        return draw(digraphs(max_n=9, min_n=0))
+    flips = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    if shape == "dag":
+        arcs = [(u, v) for (u, v), f in zip(itertools.permutations(range(n), 2), flips) if u < v and f]
+    elif shape == "tournament":
+        arcs = [(u, v) if f else (v, u) for (u, v), f in zip(itertools.combinations(range(n), 2), flips)]
+        if len(arcs) > 1 and flips[-1]:
+            arcs[0] = arcs[1][::-1]  # one pair holds both arcs, another none
+    elif shape == "balanced":
+        arcs = [(i, (i + s) % n) for i in range(n) for s in (1, 2)] if n >= 3 else []
+    elif shape == "out-degree-two":
+        arcs = [(u, v) for u in range(n) for v in draw(st.sets(
+            st.sampled_from([x for x in range(n) if x != u]), min_size=2, max_size=2))] if n >= 3 else []
+    else:
+        # Node i hangs below a smaller node; a forest drops some links.
+        parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+        arcs = [(i, j) for i, j in zip(range(1, n), parents) if shape != "forest" or flips[i]]
+        if shape == "in-tree":
+            arcs = [(j, i) for i, j in arcs]
+        elif shape in ("tree", "forest"):
+            arcs = [(i, j) if flips[-i] else (j, i) for i, j in arcs]
+    return Digraph(n, [(perm[u], perm[v]) for u, v in arcs])
 
 
 class TestDigraph:
@@ -136,11 +175,11 @@ class TestDigraph:
         assert str(exc.value) == "arcs must be pairs of integer node ids"
 
     def test_peak_memory_within_reference(self):
-        """The numpy sort, with the caller's list read in place and each
-        adjacency list made a tuple in place, peaks at 1.92 MB on about
-        60k arcs, against 3.51 MB for the set and sort of tuples it
-        replaced (3.02 MB while it copied the arcs and held the adjacency
-        as lists and as tuples at once)."""
+        """The caller's list is read in place into two id arrays, sorted as
+        one code array, and no adjacency is built until it is read: 1.92 MB
+        on about 60k arcs, against 4.47 MB for the set and sort of tuples
+        with its adjacency (3.51 MB before the reference also filled the
+        id arrays)."""
         n = 347
         order = list(range(n))
         random.Random(7).shuffle(order)
@@ -157,6 +196,86 @@ class TestDigraph:
             del g
         assert len(arcs) == 60031
         assert peaks[1] <= 0.6 * peaks[0]
+
+
+class TestArrayFacts:
+    """The facts ``graph`` reads off the sorted arc arrays (degree counts,
+    sorted arc codes, one boolean gather, ``np.unique`` of component
+    codes) against their adjacency-based definitions in ``oracles``."""
+
+    @given(structured_digraphs())
+    @settings(max_examples=400, deadline=None)
+    def test_predicates_and_classify(self, g):
+        assert is_tournament(g) == oracles.is_tournament_oracle(g.n, g.arcs)
+        assert is_balanced_degree_two(g) == oracles.is_balanced_degree_two_oracle(g)
+        tree = oracles.underlying_tree_oracle(g)
+        assert is_underlying_forest(g) == oracles.underlying_forest_oracle(g)
+        assert is_underlying_tree(g) == tree
+        assert is_out_rooted_tree(g) == (g.n > 0 and tree and oracles.out_degrees_at_most_one(g))
+        assert is_in_rooted_tree(g) == (g.n > 0 and tree and oracles.in_degrees_at_most_one(g))
+        assert classify(g) == oracles.classify_oracle(g)
+
+    @given(structured_digraphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closure_witness(self, g, data):
+        s = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0)))) if g.n else set()
+        assert check_digraph_closure(g, s) == oracles.closure_witness_oracle(g, s)
+
+    @given(structured_digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_condensation(self, g):
+        cond = condense(g, range(g.n))
+        dag_arcs, component_of, members = oracles.condensation_oracle(g)
+        assert (cond.dag.n, cond.dag.arcs) == (len(members), dag_arcs)
+        assert cond.component_of == component_of and cond.members == members
+        assert cond.component_weight == tuple(map(sum, members))
+
+    @pytest.mark.parametrize(
+        "n,arcs",
+        [(6, [(0, 5), (5, 0)]), (5, [(4, 1), (1, 4), (2, 3), (3, 2), (0, 2)]), (7, [(6, 2), (2, 6), (3, 5), (1, 3)])],
+    )
+    def test_condensation_ties_by_smallest_member(self, n, arcs):
+        g = Digraph(n, arcs)
+        cond = condense(g, [0] * n)
+        dag_arcs, component_of, members = oracles.condensation_oracle(g)
+        assert (cond.dag.arcs, cond.component_of, cond.members) == (dag_arcs, component_of, members)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_no_arcs(self, n):
+        g = Digraph(n, [])
+        assert g.m == 0 and g.tail.shape == g.head.shape == (0,) and g.arcs == ()
+        assert classify(g) == oracles.classify_oracle(g)
+        assert check_digraph_closure(g, set(range(n))) is None
+        cond = condense(g, [1] * n)
+        assert cond.dag.n == n and cond.dag.m == 0 and cond.members == tuple((v,) for v in range(n))
+
+    def test_arrays_are_sorted_and_read_only(self):
+        g = Digraph(4, [(3, 0), (1, 2), (1, 0), (0, 3)])
+        assert g.tail.tolist() == [0, 1, 1, 3] and g.head.tolist() == [3, 0, 2, 0]
+        assert g.tail.dtype == g.head.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.tail[0] = 2
+
+    def test_adjacency_is_built_on_first_read(self):
+        g = Digraph(3, [(0, 1), (2, 1)])
+        for name in ("arcs", "out_adj", "in_adj"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(g, name)
+        assert g.in_adj == ((), (0, 2), ())
+        assert object.__getattribute__(g, "in_adj") is g.in_adj
+        with pytest.raises(AttributeError):
+            object.__getattribute__(g, "out_adj")
+        with pytest.raises(AttributeError):
+            g.no_such_slot
+
+    def test_from_ids_matches_pairs(self):
+        arcs = [(4, 0), (0, 2), (3, 1), (2, 4)]
+        g = Digraph.from_ids(5, [u for u, _ in arcs], np.array([v for _, v in arcs]))
+        TestDigraph.assert_same(g, oracles.reference_digraph(5, arcs))
+        with pytest.raises(GraphError, match="duplicate arc"):
+            Digraph.from_ids(3, [0, 1, 0], [1, 2, 1])
+        with pytest.raises(GraphError, match=r"arc \(1,3\) out of range for n=3"):
+            Digraph.from_ids(3, [0, 1], [1, 3])
 
 
 def _reach(g: Digraph) -> _Reach:
