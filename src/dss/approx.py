@@ -10,8 +10,9 @@ descendant closure fits the budget, then complete it greedily:
   unselected part until nothing fits; guarantee within (k+1)/k of the
   optimum for k >= 1 and within 2 for the plain greedy (k = 0).
 
-General digraphs are condensed first; the guarantees carry over because
-closed sets correspond one-to-one across the condensation.
+Both run on the condensation (``graph.condense``, which hands back an
+acyclic graph as it is); the guarantees carry over because closed sets
+correspond one-to-one across the condensation.
 
 Determinism: seed subsets are enumerated in lexicographic order over
 sorted node ids by increasing size; greedy tie-breaks take the smallest
@@ -179,17 +180,12 @@ class _Reach:
 def _condensed_view(inst: WeightedInstance):
     """(dag, topological order, weights, expand) with expand mapping a
     component mask back to nodes."""
-    g = inst.graph
-    order = _topological_order(g)
-    if len(order) == g.n:
-        return g, order, list(inst.weights), lambda comps: set(mask_nodes(comps))
-    cond = condense(g, inst.weights)
+    cond = condense(inst.graph, inst.weights)
 
     def expand(comps):
         return {v for c in mask_nodes(comps) for v in cond.members[c]}
 
-    dag = cond.dag
-    return dag, _topological_order(dag), list(cond.component_weight), expand
+    return cond.dag, _topological_order(cond.dag), list(cond.component_weight), expand
 
 
 def _fill_max(r: _Reach, budget: int, sol: int, sol_w: int, avail: int) -> tuple[int, int]:

@@ -2,9 +2,10 @@
 
 Witnesses are deterministic: the smallest violating arc or node by id.
 Maximality for the strong-closure problems is decided by the local
-single-node test on the condensation (adding any sink of the unselected
-part preserves closure, and on a DAG that test is equivalent to the
-superset definition).  Maximality for the weak-closure problems uses the
+single-component test on the condensation, which is the graph itself
+when it is acyclic (adding any sink of the unselected part preserves
+closure, and on a DAG that test is equivalent to the superset
+definition).  Maximality for the weak-closure problems uses the
 forcing-completion procedure: adding a node drags in every node whose
 in-neighbours all become selected, and the enlarged set must fit the
 budget for the extension to count.
@@ -16,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graph import Digraph, condense, is_dag
+from .graph import Digraph, condense
 from .instance import ProblemKind, Solution, WeightedInstance
 
 
@@ -91,29 +92,22 @@ def _maximality_strong(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
 
     Works on the condensation, so it is correct on general digraphs: a
     closed set is a union of strongly connected components, and it is
-    extendable iff some sink component of the unselected part fits.  On
-    an acyclic graph every component is one node, and the nodes are
-    tested directly.
+    extendable iff some sink component of the unselected part fits.  A
+    component counts as selected when it meets ``sel``.  The witness is
+    the smallest member of such a sink component.
     """
-    g = inst.graph
-    total = inst.weight_of(sel)
-    if is_dag(g):
-        room = inst.budget - total
-        for v, (w, succ) in enumerate(zip(inst.weights, g.out_adj)):
-            if w <= room and v not in sel and all(u in sel for u in succ):
-                return v
-        return None
-    cond = condense(g, inst.weights)
-    sel_comps = {cond.component_of[v] for v in sel}
-    rest = [c for c in range(cond.dag.n) if c not in sel_comps]
+    cond = condense(inst.graph, inst.weights)
+    room = inst.budget - inst.weight_of(sel)
+    members, out_adj = cond.members, cond.dag.out_adj
     best: Optional[int] = None
-    for c in rest:
-        if any(d not in sel_comps for d in cond.dag.out_adj[c]):
-            continue  # not a sink of the unselected part
-        if total + cond.component_weight[c] <= inst.budget:
-            rep = cond.members[c][0]
-            if best is None or rep < best:
-                best = rep
+    for c, (w, nodes) in enumerate(zip(cond.component_weight, members)):
+        if w > room or not sel.isdisjoint(nodes) or (best is not None and nodes[0] > best):
+            continue
+        for d in out_adj[c]:
+            if sel.isdisjoint(members[d]):
+                break  # c is not a sink of the unselected part
+        else:
+            best = nodes[0]
     return best
 
 

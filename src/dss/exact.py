@@ -66,7 +66,6 @@ from .graph import (
     Digraph,
     GraphError,
     condense,
-    is_dag,
     is_in_rooted_tree,
     is_out_rooted_tree,
     is_tournament,
@@ -707,10 +706,9 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
     """
     if inst.kind not in (ProblemKind.SSG, ProblemKind.MAXIMAL_SSG):
         raise SolverError("tournament solver handles the strong kinds only")
-    g = inst.graph
-    # An acyclic graph is its own condensation.
-    cond = None if is_dag(g) else condense(g, inst.weights)
-    h, weights = (g, inst.weights) if cond is None else (cond.dag, cond.component_weight)
+    # ``condense`` hands back an acyclic tournament as it is.
+    cond = condense(inst.graph, inst.weights)
+    h, weights = cond.dag, cond.component_weight
     if not is_tournament(h):
         raise SolverError("input is not a tournament (nor condenses to one)")
     # An acyclic tournament is transitive, so its path runs by decreasing
@@ -723,6 +721,4 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
         total += weights[c]
     if inst.kind is ProblemKind.SSG and total == 0:
         chosen = []
-    if cond is not None:
-        chosen = [v for c in chosen for v in cond.members[c]]
-    return Solution(frozenset(chosen), total)
+    return Solution(frozenset(v for c in chosen for v in cond.members[c]), total)

@@ -6,9 +6,10 @@ A ``Digraph`` stores its arcs as two sorted int64 id arrays, ``tail`` and
 arrays (``Digraph.from_ids``); ``Digraph(n, arcs)`` takes pairs and checks
 them first.  The sorted tuple of pairs ``arcs`` and the adjacency tuples
 ``out_adj`` and ``in_adj`` are built on first read and kept, so a graph
-that is only written out or counted never builds them.  The structural predicates behind ``classify`` and the
-condensation live here: degree tests use ``np.bincount`` over the
-arrays, and the condensation is built once per graph and kept on it.
+that is only written out or counted never builds them.  The structural
+predicates behind ``classify`` and the condensation live here: degree
+tests use ``np.bincount`` over the arrays.  ``condense`` alone knows that
+an acyclic graph is its own condensation; a cyclic one's is kept on it.
 
 This module owns the mask representation of node sets that the solvers
 share: a set is a Python int with bit v set for node v.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import heapq
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -208,29 +210,44 @@ def is_dag(g: Digraph) -> bool:
 
 def _topological_order(g: Digraph) -> list[int]:
     """Kahn's algorithm; returns fewer than n nodes when a circuit exists."""
-    indeg = np.bincount(g.head, minlength=g.n).tolist()
-    ready = [v for v, d in enumerate(indeg) if d == 0]
     out_adj = g.out_adj
-    order = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
+    indeg = np.bincount(g.head, minlength=g.n)
+    order = np.flatnonzero(indeg == 0).tolist()
+    indeg = indeg.tolist()
+    for u in order:
         for v in out_adj[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
+            if not indeg[v]:
+                order.append(v)
     return order
 
 
 @dataclass(frozen=True)
 class Condensation:
-    """DAG-of-SCCs view.  Components are numbered in topological order,
-    ties broken by smallest member node id, so numbering is reproducible."""
+    """DAG-of-SCCs view.  An acyclic graph is its own condensation:
+    ``dag`` is the graph, component v is node v.  Otherwise components
+    are numbered in topological order, ties broken by smallest member."""
 
     dag: Digraph
-    component_of: tuple[int, ...]
+    component_of: Sequence[int]
     component_weight: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    members: Sequence[tuple[int, ...]]
+
+
+class _Singletons(Sequence):
+    """``(c,)`` for each component c of an acyclic graph, made on access."""
+
+    def __init__(self, n: int):
+        self.ids = range(n)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, c: int) -> tuple[int]:
+        return (self.ids[c],)
+
+    def __iter__(self) -> Iterator[tuple[int]]:
+        return zip(self.ids)
 
 
 def _strongly_connected_components(g: Digraph) -> list[list[int]]:
@@ -283,7 +300,7 @@ def _strongly_connected_components(g: Digraph) -> list[list[int]]:
 
 
 def _condensation(g: Digraph) -> tuple:
-    """(dag, component_of, members) of ``g``."""
+    """(dag, component_of, members) of a cyclic ``g``."""
     comps = _strongly_connected_components(g)
     k = len(comps)
     raw_of = [0] * g.n
@@ -321,15 +338,18 @@ def _condensation(g: Digraph) -> tuple:
 
 
 def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
-    """The structure is built on the first call and kept on ``g``; the
-    component weights are summed on each call."""
+    """The structure is kept on ``g`` (None when ``g`` is acyclic) from
+    the first call; the component weights are summed on each call."""
     w = tuple(weights)
     if len(w) != g.n:
         raise GraphError("weight vector length must equal node count")
     try:
-        dag, component_of, members = g._condensed
+        kept = g._condensed
     except AttributeError:
-        dag, component_of, members = g._condensed = _condensation(g)
+        kept = g._condensed = None if is_dag(g) else _condensation(g)
+    if kept is None:
+        return Condensation(g, range(g.n), w, _Singletons(g.n))
+    dag, component_of, members = kept
     component_weight = tuple(sum(w[v] for v in m) for m in members)
     return Condensation(dag, component_of, component_weight, members)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,6 +40,13 @@ class WeightedInstance:
     def __post_init__(self):
         if len(self.weights) != self.graph.n:
             raise InstanceError("one weight per node required")
+        # ``operator.index`` turns numpy integers into ints and refuses
+        # floats and strings, which no solver can weigh exactly.
+        try:
+            object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
+            object.__setattr__(self, "budget", operator.index(self.budget))
+        except TypeError:
+            raise InstanceError("weights and budget must be integers") from None
         if any(w < 0 for w in self.weights):
             raise InstanceError("weights must be nonnegative")
         if sum(self.weights) > MAX_INT:

@@ -28,8 +28,8 @@ The structural facts that ``graph`` reads off its sorted arc arrays
 (degree tests, the tournament test, ``classify``, the closure witness
 and the condensation) have definitions here on the adjacency tuples and
 on reachability.  ``maximality_strong_oracle`` is the earlier
-condensation-only ``_maximality_strong``, kept verbatim to pin the
-node-by-node test on acyclic graphs.
+condensation-only ``_maximality_strong``, run on ``condensation_oracle``
+rather than the library's condensation, to pin the one-loop test.
 """
 from __future__ import annotations
 
@@ -226,10 +226,13 @@ def closure_witness_oracle(g: Digraph, s: set[int]) -> Optional[tuple[int, int]]
 
 
 def condensation_oracle(g: Digraph) -> tuple:
-    """(dag arcs, component_of, members): components by mutual
-    reachability, numbered in topological order with ties by smallest
-    member, found by repeatedly taking the ready component of smallest
-    member."""
+    """(dag arcs, component_of, members).  An acyclic graph is its own
+    condensation: its arcs, component v being node v.  Otherwise the
+    components are found by mutual reachability and numbered in
+    topological order with ties by smallest member, by repeatedly taking
+    the ready component of smallest member."""
+    if _acyclic_oracle(g):
+        return tuple(sorted(g.arcs)), tuple(range(g.n)), tuple((v,) for v in range(g.n))
     comps = sorted(scc_oracle(g.n, g.arcs), key=min)
     comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
     cross = {(comp_of[u], comp_of[v]) for u, v in g.arcs if comp_of[u] != comp_of[v]}
@@ -247,21 +250,22 @@ def condensation_oracle(g: Digraph) -> tuple:
 
 
 def maximality_strong_oracle(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
-    """The earlier ``_maximality_strong``, kept verbatim: the smallest
-    member of a fitting sink component of the unselected part of the
-    condensation, whatever the graph."""
-    cond = condense(inst.graph, inst.weights)
-    sel_comps = {cond.component_of[v] for v in sel}
+    """The earlier ``_maximality_strong`` on ``condensation_oracle``'s
+    condensation: the smallest member of a fitting sink component of the
+    unselected part, a component counting as selected when it meets
+    ``sel``, whatever the graph."""
+    dag_arcs, component_of, members = condensation_oracle(inst.graph)
+    sel_comps = {component_of[v] for v in sel}
     total = inst.weight_of(sel)
-    rest = [c for c in range(cond.dag.n) if c not in sel_comps]
     best: Optional[int] = None
-    for c in rest:
-        if any(d not in sel_comps for d in cond.dag.out_adj[c]):
+    for c, nodes in enumerate(members):
+        if c in sel_comps:
+            continue
+        if any(a == c and b not in sel_comps for a, b in dag_arcs):
             continue  # not a sink of the unselected part
-        if total + cond.component_weight[c] <= inst.budget:
-            rep = cond.members[c][0]
-            if best is None or rep < best:
-                best = rep
+        if total + sum(inst.weights[v] for v in nodes) <= inst.budget:
+            if best is None or nodes[0] < best:
+                best = nodes[0]
     return best
 
 

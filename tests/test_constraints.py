@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from conftest import C5_EDGES, make_instance
 from dss import (
     Digraph,
     GraphClass,
+    InstanceError,
     ISGadgetSpec,
     ProblemKind,
     Solution,
@@ -26,7 +28,9 @@ from dss import (
     random_instance,
     weak_closure_completion,
 )
+from dss.approx import ptas_ssg
 from dss.constraints import _maximality_strong
+from dss.exact import brute_force, solve_ssg_tree
 from test_graph import digraphs
 
 
@@ -143,6 +147,37 @@ class TestBudget:
         assert not ok and w == 6
 
 
+class TestIntegerValues:
+    """Weights and budget go through ``operator.index``: numpy integers
+    become ints, and anything else no solver can weigh exactly is
+    refused."""
+
+    PATH = Digraph(2, [(0, 1)])
+
+    def test_float_weights(self):
+        with pytest.raises(InstanceError, match="weights and budget must be integers"):
+            WeightedInstance(self.PATH, (1.5, 2.5), 3, ProblemKind.SSG)
+
+    def test_string_weights(self):
+        with pytest.raises(InstanceError, match="weights and budget must be integers"):
+            WeightedInstance(self.PATH, ("1", "2"), 3, ProblemKind.SSG)
+
+    def test_float_budget(self):
+        with pytest.raises(InstanceError, match="weights and budget must be integers"):
+            WeightedInstance(self.PATH, (1, 2), 3.0, ProblemKind.SSG)
+
+    def test_numpy_integers(self):
+        inst = WeightedInstance(self.PATH, np.array([1, 2]), np.int64(3), ProblemKind.SSG)
+        assert inst.weights == (1, 2) and inst.budget == 3
+        assert {type(v) for v in (*inst.weights, inst.budget)} == {int}
+        want = Solution(frozenset({0, 1}), 3)
+        assert brute_force(inst) == solve_ssg_tree(inst) == ptas_ssg(inst, 1).solution == want
+
+    def test_weights_kept_as_tuple(self):
+        inst = WeightedInstance(self.PATH, [1, 2], 3, ProblemKind.SSG)
+        assert inst.weights == (1, 2) and isinstance(inst.weights, tuple)
+
+
 class TestMaximality:
     def test_single_node_overshoots(self):
         inst = make_instance(Digraph(1, []), [5], 4, ProblemKind.MAXIMAL_SSG)
@@ -210,8 +245,9 @@ class TestMaximality:
 
 
 class TestMaximalityStrongOnDags:
-    """On an acyclic graph the strong maximality test reads the nodes
-    directly; it must give the witness the condensation gives."""
+    """The strong maximality test runs on the library's condensation,
+    which is the graph itself when it is acyclic; it must give the
+    witness of ``oracles.condensation_oracle``'s condensation."""
 
     @pytest.mark.parametrize(
         "cls", [GraphClass.ORIENTED_TREE, GraphClass.OUT_ROOTED_TREE, GraphClass.DAG, GraphClass.GENERAL],

@@ -227,7 +227,7 @@ class TestArrayFacts:
         cond = condense(g, range(g.n))
         dag_arcs, component_of, members = oracles.condensation_oracle(g)
         assert (cond.dag.n, cond.dag.arcs) == (len(members), dag_arcs)
-        assert cond.component_of == component_of and cond.members == members
+        assert tuple(cond.component_of) == component_of and tuple(cond.members) == members
         assert cond.component_weight == tuple(map(sum, members))
 
     @pytest.mark.parametrize(
@@ -247,7 +247,7 @@ class TestArrayFacts:
         assert classify(g) == oracles.classify_oracle(g)
         assert check_digraph_closure(g, set(range(n))) is None
         cond = condense(g, [1] * n)
-        assert cond.dag.n == n and cond.dag.m == 0 and cond.members == tuple((v,) for v in range(n))
+        assert cond.dag is g and tuple(cond.members) == tuple((v,) for v in range(n))
 
     def test_arrays_are_sorted_and_read_only(self):
         g = Digraph(4, [(3, 0), (1, 2), (1, 0), (0, 3)])
@@ -331,10 +331,23 @@ class TestCondensation:
         weight_by_members = {m: w for m, w in zip(cond.members, cond.component_weight)}
         assert weight_by_members[(0, 1)] == 3
 
-    def test_topological_numbering(self):
+    def test_acyclic_graph_is_its_own_condensation(self):
         g = Digraph(4, [(3, 2), (2, 1), (1, 0)])
-        cond = condense(g, [1] * 4)
+        cond = condense(g, [1, 2, 4, 8])
+        assert cond.dag is g and cond.component_of == range(4)
+        assert cond.component_weight == (1, 2, 4, 8)
+        assert (len(cond.members), cond.members[3], cond.members[-1]) == (4, (3,), (3,))
+        assert list(cond.members) == [(0,), (1,), (2,), (3,)]
+        with pytest.raises(IndexError):
+            cond.members[4]
+        # The slot keeps a marker, not the graph itself.
+        assert object.__getattribute__(g, "_condensed") is None
+
+    def test_topological_numbering(self):
+        g = Digraph(5, [(4, 3), (3, 4), (3, 2), (2, 1), (1, 0)])
+        cond = condense(g, [1] * 5)
         # Components sorted topologically; arcs go from lower to higher id.
+        assert cond.members == ((3, 4), (2,), (1,), (0,))
         assert all(a < b for a, b in cond.dag.arcs)
 
     @given(digraphs())
@@ -471,6 +484,43 @@ class TestStructurePasses:
                     assert (cls, kind) == (GraphClass.ORIENTED_TREE, ProblemKind.SSGW)
                 assert counts["is_underlying_forest"] <= 1, (cls, kind)
                 assert sum(counts.values()) == counts["is_underlying_forest"], (cls, kind)
+
+    def test_acyclic_condensation(self, monkeypatch):
+        """A tree is its own condensation: one Kahn pass, no Tarjan, and
+        nothing kept per node.  A tuple of singletons alone would hold
+        about 89 bytes per node."""
+        counts = _count_calls(monkeypatch, self.PASSES)
+        weights = (1,) * self.N
+        for cls, g in self.trees().items():
+            g.out_adj
+            counts.update(dict.fromkeys(counts, 0))
+            tracemalloc.start()
+            try:
+                cond = condense(g, weights)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert counts == {"is_underlying_forest": 0, "is_underlying_connected": 0,
+                              "_topological_order": 1, "_strongly_connected_components": 0}, cls
+            assert cond.dag is g and cond.component_of == range(self.N) and cond.members[7] == (7,)
+            assert cond.component_weight is weights
+            assert kept < 2_000 and peak < 50 * self.N, (cls, kept, peak)
+
+    def test_maximal_evaluate_peak(self):
+        """The strong maximality test on a fresh 10^5-node tree builds the
+        adjacency, one Kahn pass and no per-node component object: 16.5 MB
+        under tracemalloc, against 18.5 MB when the test forked on
+        ``is_dag`` itself."""
+        g = self.trees()[GraphClass.ORIENTED_TREE]
+        inst = WeightedInstance(g, (1,) * self.N, 0, ProblemKind.MAXIMAL_SSG)
+        tracemalloc.start()
+        try:
+            report = evaluate(inst, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and report.satisfies_maximality
+        assert peak < 185 * self.N, peak
 
     def test_condensations(self, monkeypatch):
         counts = _count_calls(monkeypatch, ["_strongly_connected_components"])
