@@ -24,13 +24,9 @@ from .instance import (
 )
 from .constraints import (
     FeasibilityReport,
-    check_budget,
     check_digraph_closure,
-    check_maximal,
     check_weak_closure,
     evaluate,
-    is_feasible,
-    verify_solution,
     weak_closure_completion,
 )
 from .exact import (
@@ -81,13 +77,9 @@ __all__ = [
     "Solution",
     "WeightedInstance",
     "FeasibilityReport",
-    "check_budget",
     "check_digraph_closure",
-    "check_maximal",
     "check_weak_closure",
     "evaluate",
-    "is_feasible",
-    "verify_solution",
     "weak_closure_completion",
     "CapExceeded",
     "SolverError",

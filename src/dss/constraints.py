@@ -1,14 +1,14 @@
 """Feasibility verdicts: closure, weak closure, budget and maximality.
 
-Witnesses are deterministic: the smallest violating arc or node by id.
-Maximality for the strong-closure problems is decided by the local
-single-component test on the condensation, which is the graph itself
-when it is acyclic (adding any sink of the unselected part preserves
-closure, and on a DAG that test is equivalent to the superset
-definition).  Maximality for the weak-closure problems uses the
-forcing-completion procedure: adding a node drags in every node whose
-in-neighbours all become selected, and the enlarged set must fit the
-budget for the extension to count.
+``evaluate`` reads a selection once, into a set and a boolean array over
+the nodes, and tests either closure rule on the arc arrays, building no
+adjacency; the witness is the smallest violating arc or node by id.
+Strong maximality is the single-component test on the condensation,
+which is the graph itself when it is acyclic: a closed set extends iff
+some sink component of the unselected part fits the budget.  Weak
+maximality uses the forcing-completion procedure: adding a node drags in
+every node whose in-neighbours all become selected, and the enlarged set
+must fit the budget for the extension to count.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .graph import Digraph, condense
-from .instance import ProblemKind, Solution, WeightedInstance
+from .instance import WeightedInstance
 
 
 @dataclass(frozen=True)
@@ -38,30 +38,36 @@ class FeasibilityReport:
         )
 
 
-def check_digraph_closure(g: Digraph, s) -> Optional[tuple[int, int]]:
-    """First arc (x,y) with x selected and y not; None when closed."""
+def _read(g: Digraph, s) -> tuple[set[int], np.ndarray]:
+    """The selection ``s`` as a checked set and as a boolean array."""
+    sel = g._check_nodes(s)
     picked = np.zeros(g.n, dtype=np.bool_)
-    picked[list(g._check_nodes(s))] = True
+    picked[np.fromiter(sel, np.int64, len(sel))] = True
+    return sel, picked
+
+
+def _witness(g: Digraph, picked: np.ndarray, weak: bool) -> Union[tuple[int, int], int, None]:
+    """The smallest arc (x,y) with x selected and y not, or under the weak
+    rule the smallest unselected node with in-neighbours, all selected;
+    None when closed.  ``picked`` is the boolean array of the selection."""
+    if weak:
+        has_in = np.bincount(g.head, minlength=g.n) > 0
+        missing = np.bincount(g.head[~picked[g.tail]], minlength=g.n)
+        bad = np.flatnonzero(has_in & ~picked & (missing == 0))
+        return int(bad[0]) if bad.size else None
     # Arcs are stored sorted, so the first violating arc is the minimal one.
     bad = np.flatnonzero(picked[g.tail] & ~picked[g.head])
-    if bad.size == 0:
-        return None
-    return int(g.tail[bad[0]]), int(g.head[bad[0]])
+    return (int(g.tail[bad[0]]), int(g.head[bad[0]])) if bad.size else None
+
+
+def check_digraph_closure(g: Digraph, s) -> Optional[tuple[int, int]]:
+    """First arc (x,y) with x selected and y not; None when closed."""
+    return _witness(g, _read(g, s)[1], False)
 
 
 def check_weak_closure(g: Digraph, s) -> Optional[int]:
     """Smallest node whose in-neighbours are all selected but which is not."""
-    sel = g._check_nodes(s)
-    for x in range(g.n):
-        ins = g.in_adj[x]
-        if ins and x not in sel and all(p in sel for p in ins):
-            return x
-    return None
-
-
-def check_budget(inst: WeightedInstance, s) -> tuple[bool, int]:
-    w = inst.weight_of(s)
-    return w <= inst.budget, w
+    return _witness(g, _read(g, s)[1], True)
 
 
 def weak_closure_completion(g: Digraph, s) -> set[int]:
@@ -87,76 +93,52 @@ def weak_closure_completion(g: Digraph, s) -> set[int]:
     return sel
 
 
-def _maximality_strong(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
-    """Witness node addable under strong closure + budget, or None.
+def _maximality_strong(inst: WeightedInstance, picked: np.ndarray, room: int) -> Optional[int]:
+    """Witness node addable under strong closure within ``room`` more
+    weight, or None; ``picked`` is the boolean array of the selection.
 
     Works on the condensation, so it is correct on general digraphs: a
     closed set is a union of strongly connected components, and it is
     extendable iff some sink component of the unselected part fits.  A
-    component counts as selected when it meets ``sel``.  The witness is
-    the smallest member of such a sink component.
+    component counts as taken when it meets the selection, and is a sink
+    when it has no untaken successor.  The witness is the smallest node
+    whose component is a fitting untaken sink.
     """
     cond = condense(inst.graph, inst.weights)
-    room = inst.budget - inst.weight_of(sel)
-    members, out_adj = cond.members, cond.dag.out_adj
-    best: Optional[int] = None
-    for c, (w, nodes) in enumerate(zip(cond.component_weight, members)):
-        if w > room or not sel.isdisjoint(nodes) or (best is not None and nodes[0] > best):
-            continue
-        for d in out_adj[c]:
-            if sel.isdisjoint(members[d]):
-                break  # c is not a sink of the unselected part
-        else:
-            best = nodes[0]
-    return best
+    dag, comp = cond.dag, np.fromiter(cond.component_of, np.int64, inst.graph.n)
+    taken = np.zeros(dag.n, dtype=np.bool_)
+    taken[comp[picked]] = True
+    addable = ~taken & (np.fromiter(cond.component_weight, np.int64, dag.n) <= room)
+    addable[dag.tail[~taken[dag.head]]] = False
+    hits = np.flatnonzero(addable[comp])
+    return int(hits[0]) if hits.size else None
 
 
-def _maximality_weak(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
-    """Witness node addable under weak closure + budget, or None."""
-    g = inst.graph
+def _maximality_weak(inst: WeightedInstance, sel: set[int], room: int) -> Optional[int]:
+    """Witness node addable under weak closure within ``room`` more
+    weight, or None."""
+    g, weights = inst.graph, inst.weights
     for x in range(g.n):
         if x in sel:
             continue
         grown = weak_closure_completion(g, sel | {x})
-        if inst.weight_of(grown) <= inst.budget:
+        if sum(weights[v] for v in grown - sel) <= room:
             return x
     return None
 
 
-def _report(inst: WeightedInstance, s, maximal: bool) -> FeasibilityReport:
-    """Closure and budget verdicts, then maximality when ``maximal`` is
-    set and both hold (the maximality definition quantifies over feasible
-    supersets of a feasible set)."""
-    g = inst.graph
-    sel = g._check_nodes(s)
-    if inst.kind.is_weak:
-        witness: Union[tuple[int, int], int, None] = check_weak_closure(g, sel)
-    else:
-        witness = check_digraph_closure(g, sel)
-    budget_ok, total = check_budget(inst, sel)
-    if not maximal or witness is not None or not budget_ok:
-        return FeasibilityReport(witness is None, budget_ok, None, witness, total)
-    if inst.kind.is_weak:
-        add_witness = _maximality_weak(inst, sel)
-    else:
-        add_witness = _maximality_strong(inst, sel)
-    return FeasibilityReport(True, True, add_witness is None, add_witness, total)
-
-
-def check_maximal(inst: WeightedInstance, s) -> FeasibilityReport:
-    """Full report for a maximal-kind solution candidate; maximality is
-    None unless closure and budget both hold."""
-    return _report(inst, s, True)
-
-
 def evaluate(inst: WeightedInstance, s) -> FeasibilityReport:
-    """Report for any kind; maximality is None for the non-maximal kinds."""
-    return _report(inst, s, inst.kind.is_maximal)
-
-
-def is_feasible(inst: WeightedInstance, s) -> bool:
-    return evaluate(inst, s).feasible
-
-
-def verify_solution(inst: WeightedInstance, sol: Solution) -> FeasibilityReport:
-    return evaluate(inst, sol.selected)
+    """Closure and budget verdicts for any kind, then maximality for the
+    maximal kinds when both hold (the maximality definition quantifies
+    over feasible supersets of a feasible set); maximality is None
+    otherwise."""
+    g, weak = inst.graph, inst.kind.is_weak
+    sel, picked = _read(g, s)
+    witness = _witness(g, picked, weak)
+    total = inst.weight_of(sel)
+    budget_ok = total <= inst.budget
+    if not inst.kind.is_maximal or witness is not None or not budget_ok:
+        return FeasibilityReport(witness is None, budget_ok, None, witness, total)
+    room = inst.budget - total
+    add = _maximality_weak(inst, sel, room) if weak else _maximality_strong(inst, picked, room)
+    return FeasibilityReport(True, True, add is None, add, total)

@@ -360,11 +360,9 @@ def _at_most_one_each(ids: np.ndarray) -> bool:
     return ids.size == 0 or int(np.bincount(ids).max()) <= 1
 
 
-def is_underlying_forest(g: Digraph) -> bool:
-    """True when the underlying undirected graph is acyclic and simple:
-    an opposite arc pair joins two nodes already joined, so it is a cycle."""
-    if g.n and g.m >= g.n:
-        return False  # a forest has at most n - 1 edges
+def _underlying_merges(g: Digraph) -> int:
+    """Arcs, in sorted order, that join two components of the underlying
+    undirected graph built from the arcs before them (union-find)."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -373,26 +371,23 @@ def is_underlying_forest(g: Digraph) -> bool:
             x = parent[x]
         return x
 
+    merges = 0
     for u, v in zip(g.tail.tolist(), g.head.tolist()):
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+        if ru != rv:
+            parent[ru] = rv
+            merges += 1
+    return merges
+
+
+def is_underlying_forest(g: Digraph) -> bool:
+    """True when the underlying undirected graph is acyclic and simple, so
+    it has at most n - 1 edges; an opposite arc pair is a cycle of two."""
+    return (g.n == 0 or g.m < g.n) and _underlying_merges(g) == g.m
 
 
 def is_underlying_connected(g: Digraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.out_adj[u] + g.in_adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return g.n == 0 or _underlying_merges(g) == g.n - 1
 
 
 def is_underlying_tree(g: Digraph) -> bool:

@@ -3,9 +3,9 @@
 Everything here is written against the problem definitions directly
 (subset enumeration, reachability matrices, literal superset checks) and
 deliberately shares no code with the library under test, except
-``brute_force_oracle``: it runs the checker's own predicates on every set,
-so that the vectorised brute force and the checker are held to one
-definition of closure and maximality; and ``tournament_oracle``, an
+``brute_force_oracle``: it runs the checker's own verdict, ``evaluate``,
+on every set, so that the vectorised brute force and the checker are held
+to one definition of closure and maximality; and ``tournament_oracle``, an
 earlier ``solve_tournament`` kept verbatim on the library's graph
 predicates and condensation, so that its witnesses pin the current ones.
 ``lexicographic_first_oracle`` is the earlier index-array tie rule of
@@ -29,7 +29,12 @@ The structural facts that ``graph`` reads off its sorted arc arrays
 and the condensation) have definitions here on the adjacency tuples and
 on reachability.  ``maximality_strong_oracle`` is the earlier
 condensation-only ``_maximality_strong``, run on ``condensation_oracle``
-rather than the library's condensation, to pin the one-loop test.
+rather than the library's condensation, to pin the array test.
+``underlying_connected_oracle`` is the earlier adjacency search of
+``is_underlying_connected``, kept verbatim to pin the union-find one.
+``weak_closure_witness_oracle`` is the earlier loop-over-nodes
+``check_weak_closure``, kept verbatim to pin the witness of the one that
+counts in-neighbours over the arc arrays.
 """
 from __future__ import annotations
 
@@ -54,12 +59,7 @@ from dss import (
     WeightedInstance,
 )
 from dss.approx import _condensed_view, _Reach
-from dss.constraints import (
-    _maximality_strong,
-    _maximality_weak,
-    check_digraph_closure,
-    check_weak_closure,
-)
+from dss.constraints import evaluate
 from dss.graph import condense, is_dag, is_tournament, mask_nodes, neighbour_masks
 
 
@@ -196,6 +196,22 @@ def underlying_forest_oracle(g: Digraph) -> bool:
     return True
 
 
+def underlying_connected_oracle(g: Digraph) -> bool:
+    """The earlier ``is_underlying_connected``, kept verbatim: a search
+    from node 0 over the adjacency tuples reaches every node."""
+    if g.n == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g.out_adj[u] + g.in_adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
 def underlying_tree_oracle(g: Digraph) -> bool:
     """A forest with one component; the empty graph counts as a tree."""
     return underlying_forest_oracle(g) and len(g.arcs) == max(g.n - 1, 0)
@@ -273,6 +289,18 @@ def strong_closed(arcs, s: set[int]) -> bool:
     return all(v in s for u, v in arcs if u in s)
 
 
+def weak_closure_witness_oracle(g: Digraph, s) -> Optional[int]:
+    """The earlier ``check_weak_closure``, kept verbatim on the adjacency
+    tuples: the smallest node whose in-neighbours are all selected but
+    which is not."""
+    sel = g._check_nodes(s)
+    for x in range(g.n):
+        ins = g.in_adj[x]
+        if ins and x not in sel and all(p in sel for p in ins):
+            return x
+    return None
+
+
 def weak_closed(n: int, arcs, s: set[int]) -> bool:
     for x in range(n):
         ins = [u for u, v in arcs if v == x]
@@ -319,10 +347,10 @@ def optimum(n: int, arcs, weights, budget: int, kind: str) -> Optional[int]:
 
 def brute_force_oracle(inst: WeightedInstance) -> Optional[Solution]:
     """``exact.brute_force`` on plain sets: every subset that fits the
-    budget and passes the checker's closure test (and, for the maximal
-    kinds, its maximality test) competes; the best weight wins, ties going
-    to the lexicographically smallest sorted node tuple."""
-    g, weak, maximal = inst.graph, inst.kind.is_weak, inst.kind.is_maximal
+    budget and that the checker's ``evaluate`` finds feasible competes;
+    the best weight wins, ties going to the lexicographically smallest
+    sorted node tuple."""
+    g, maximal = inst.graph, inst.kind.is_maximal
     best = None
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
@@ -330,9 +358,7 @@ def brute_force_oracle(inst: WeightedInstance) -> Optional[Solution]:
             w = inst.weight_of(s)
             if w > inst.budget:
                 continue
-            if (check_weak_closure(g, s) if weak else check_digraph_closure(g, s)) is not None:
-                continue
-            if maximal and (_maximality_weak if weak else _maximality_strong)(inst, s) is not None:
+            if not evaluate(inst, s).feasible:
                 continue
             key = (w if maximal else -w, combo)
             if best is None or key < best:

@@ -32,7 +32,6 @@ from dss import (
     WeightedInstance,
     brute_force,
     cardinality_to_maximal,
-    check_maximal,
     clique_to_ssg,
     condense,
     evaluate,
@@ -197,7 +196,7 @@ def test_criterion_5_local_maximality_equals_superset_test(report):
         for size in range(g.n + 1):
             for combo in itertools.combinations(range(g.n), size):
                 s = frozenset(combo)
-                if check_maximal(inst, s).feasible != (s in literal):
+                if evaluate(inst, s).feasible != (s in literal):
                     mismatches += 1
     report(
         "5 (single-addition maximality test equals the superset definition)",

@@ -21,12 +21,11 @@ from dss import (
     WeightedInstance,
     brute_force,
     condense,
+    evaluate,
     is_dag,
-    is_feasible,
     ptas_maximal_ssg,
     ptas_ssg,
     random_instance,
-    verify_solution,
 )
 from dss import approx
 from dss.graph import mask_nodes
@@ -69,7 +68,7 @@ class TestPtasSSG:
             inst = _random_dag(seed)
             for k in (0, 1, 2):
                 sol = ptas_ssg(inst, k).solution
-                assert is_feasible(inst, sol.selected)
+                assert evaluate(inst, sol.selected).feasible
                 assert inst.weight_of(sol.selected) == sol.weight
 
     def test_ratio_bound(self):
@@ -98,7 +97,7 @@ class TestPtasSSG:
             )
             sol = ptas_ssg(inst, inst.graph.n).solution
             assert sol.weight == brute_force(inst).weight
-            assert is_feasible(inst, sol.selected)
+            assert evaluate(inst, sol.selected).feasible
 
     def test_seed_loop_stops_at_exact_fill(self, fig_a, monkeypatch):
         calls = []
@@ -143,7 +142,7 @@ class TestPtasMaximalSSG:
             inst = _random_dag(seed, kind=ProblemKind.MAXIMAL_SSG)
             for k in (0, 1, 2):
                 sol = ptas_maximal_ssg(inst, k).solution
-                assert verify_solution(inst, sol).feasible, f"seed {seed} k={k}"
+                assert evaluate(inst, sol.selected).feasible, f"seed {seed} k={k}"
 
     def test_ratio_bound(self):
         for seed in range(40):
@@ -175,7 +174,7 @@ class TestPtasMaximalSSG:
             )
             sol = ptas_maximal_ssg(inst, inst.graph.n).solution
             assert sol.weight == brute_force(inst).weight
-            assert verify_solution(inst, sol).feasible
+            assert evaluate(inst, sol.selected).feasible
 
     def test_matches_heap_reference(self):
         # The set oracle is O(n^4) at k = 3, too slow past n ~ 25; the

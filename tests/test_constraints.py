@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,23 +12,21 @@ from conftest import C5_EDGES, make_instance
 from dss import (
     Digraph,
     GraphClass,
+    GraphError,
     InstanceError,
     ISGadgetSpec,
     ProblemKind,
     Solution,
     UndirectedGraph,
     WeightedInstance,
-    check_budget,
     check_digraph_closure,
-    check_maximal,
     check_weak_closure,
     evaluate,
     graph_to_ssgw,
-    is_feasible,
-    verify_solution,
     random_instance,
     weak_closure_completion,
 )
+from dss import constraints
 from dss.approx import ptas_ssg
 from dss.constraints import _maximality_strong
 from dss.exact import brute_force, solve_ssg_tree
@@ -100,6 +99,37 @@ class TestWeakClosure:
         )
 
 
+    @given(digraphs(min_n=0))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_matches_reference(self, g):
+        rng = random.Random(g.n * 31 + len(g.arcs))
+        for s in (set(), set(range(g.n)), {v for v in range(g.n) if rng.random() < 0.5}):
+            assert check_weak_closure(g, s) == oracles.weak_closure_witness_oracle(g, s)
+
+    @pytest.mark.parametrize(
+        "cls", [GraphClass.DAG, GraphClass.GENERAL, GraphClass.OUT_ROOTED_TREE,
+                GraphClass.IN_ROOTED_TREE, GraphClass.ORIENTED_TREE],
+        ids=lambda c: c.value,
+    )
+    def test_witness_on_classes(self, cls):
+        rng = random.Random(8)
+        sources = 0
+        for seed in range(40):
+            g = random_instance(cls, rng.randint(1, 40), seed=seed, arc_prob=0.1).graph
+            sources += sum(not ins for ins in g.in_adj)
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                s = {v for v in range(g.n) if rng.random() < p}
+                assert check_weak_closure(g, s) == oracles.weak_closure_witness_oracle(g, s)
+        assert sources  # nodes with no in-neighbour are never forced
+
+    def test_source_never_witnessed(self):
+        g = Digraph(4, [(0, 1), (2, 1)])
+        assert check_weak_closure(g, set()) is None
+        assert check_weak_closure(g, {0}) is None
+        assert check_weak_closure(g, {0, 2}) == 1
+        assert check_weak_closure(Digraph(0, []), set()) is None
+
+
 class TestWeakCompletion:
     def test_gadget_completion(self, c5_gadget):
         got = weak_closure_completion(c5_gadget.graph, {0, 1})
@@ -135,16 +165,16 @@ class TestWeakCompletion:
 
 class TestBudget:
     def test_empty(self, fig_b_instance):
-        ok, w = check_budget(fig_b_instance, set())
-        assert ok and w == 0
+        report = evaluate(fig_b_instance, set())
+        assert report.satisfies_budget and report.total_weight == 0
 
     def test_exact_budget_ok(self, fig_b_instance):
-        ok, w = check_budget(fig_b_instance, {0, 1, 2})
-        assert ok and w == 4
+        report = evaluate(fig_b_instance, {0, 1, 2})
+        assert report.satisfies_budget and report.total_weight == 4
 
     def test_overshoot(self, fig_b_instance):
-        ok, w = check_budget(fig_b_instance, {0, 1, 2, 3})
-        assert not ok and w == 6
+        report = evaluate(fig_b_instance, {0, 1, 2, 3})
+        assert not report.satisfies_budget and report.total_weight == 6
 
 
 class TestIntegerValues:
@@ -181,22 +211,22 @@ class TestIntegerValues:
 class TestMaximality:
     def test_single_node_overshoots(self):
         inst = make_instance(Digraph(1, []), [5], 4, ProblemKind.MAXIMAL_SSG)
-        report = check_maximal(inst, set())
+        report = evaluate(inst, set())
         assert report.satisfies_maximality is True
         assert report.feasible
 
     def test_worked_tree_prefix_is_maximal(self, fig_b_instance):
         # {v1,v2,v3} hits the budget; the cheapest remaining sink overshoots.
-        report = check_maximal(fig_b_instance, {0, 1, 2})
+        report = evaluate(fig_b_instance, {0, 1, 2})
         assert report.satisfies_maximality is True
 
     def test_extendable_set_witnessed(self, fig_b_instance):
-        report = check_maximal(fig_b_instance, {0, 1})
+        report = evaluate(fig_b_instance, {0, 1})
         assert report.satisfies_maximality is False
         assert report.witness == 2
 
     def test_maximality_skipped_when_infeasible(self, fig_b_instance):
-        report = check_maximal(fig_b_instance, {4})  # not closed
+        report = evaluate(fig_b_instance, {4})  # not closed
         assert report.satisfies_closure is False
         assert report.satisfies_maximality is None
         assert not report.feasible
@@ -219,7 +249,7 @@ class TestMaximality:
         for size in range(g.n + 1):
             for combo in itertools.combinations(range(g.n), size):
                 s = frozenset(combo)
-                report = check_maximal(inst, s)
+                report = evaluate(inst, s)
                 assert report.feasible == (s in literal)
 
     @given(digraphs())
@@ -240,7 +270,7 @@ class TestMaximality:
         for size in range(g.n + 1):
             for combo in itertools.combinations(range(g.n), size):
                 s = frozenset(combo)
-                report = check_maximal(inst, s)
+                report = evaluate(inst, s)
                 assert report.feasible == (s in literal)
 
 
@@ -263,7 +293,9 @@ class TestMaximalityStrongOnDags:
                 sel = set(rng.sample(range(n), rng.randint(0, n)))
                 if i % 2:
                     sel = oracles.descendants_oracle(n, inst.graph.arcs, sel)
-                assert _maximality_strong(inst, sel) == oracles.maximality_strong_oracle(inst, sel)
+                picked = np.array([v in sel for v in range(n)], dtype=np.bool_)
+                room = inst.budget - inst.weight_of(sel)
+                assert _maximality_strong(inst, picked, room) == oracles.maximality_strong_oracle(inst, sel)
 
 
 class TestEvaluate:
@@ -275,7 +307,78 @@ class TestEvaluate:
 
     def test_is_feasible_and_verify(self, fig_a):
         inst = make_instance(fig_a, [1] * 8, 3, ProblemKind.SSG)
-        assert is_feasible(inst, {3})
-        assert not is_feasible(inst, {0})  # v1 forces v2
+        assert evaluate(inst, {3}).feasible
+        assert not evaluate(inst, {0}).feasible  # v1 forces v2
         sol = Solution.from_nodes(inst, {1, 3})
-        assert verify_solution(inst, sol).feasible
+        assert evaluate(inst, sol.selected).feasible
+
+    def test_out_of_range_node(self, fig_a):
+        for kind in ProblemKind:
+            inst = make_instance(fig_a, [1] * 8, 3, kind)
+            with pytest.raises(GraphError, match="node id 8 out of range"):
+                evaluate(inst, {1, 8})
+
+
+class TestSingleRead:
+    """``evaluate`` reads a selection once, whatever the kind: one
+    ``Digraph._check_nodes`` and one ``WeightedInstance.weight_of`` call.
+    The weak maximality test grows each candidate with
+    ``weak_closure_completion``, which reads its own set; reads made
+    inside it are not counted."""
+
+    @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+    def test_one_call_each(self, kind, monkeypatch):
+        inst = random_instance(GraphClass.DAG, 12, seed=3, kind=kind, arc_prob=0.3)
+        sel = brute_force(inst).selected
+        counts = {"_check_nodes": 0, "weight_of": 0, "completions": 0}
+        inside = []
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, s):
+                counts[name] += not inside
+                return original(self, s)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(Digraph, "_check_nodes")
+        count(WeightedInstance, "weight_of")
+        completion = constraints.weak_closure_completion
+
+        def counted_completion(g, s):
+            counts["completions"] += 1
+            inside.append(s)
+            try:
+                return completion(g, s)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(constraints, "weak_closure_completion", counted_completion)
+        report = evaluate(inst, sel)
+        assert report.feasible
+        assert report.satisfies_maximality is (True if kind.is_maximal else None)
+        assert (counts["completions"] > 0) == (kind is ProblemKind.MAXIMAL_SSGW)
+        assert (counts["_check_nodes"], counts["weight_of"]) == (1, 1), counts
+
+    def test_large_tree_full_set(self):
+        """The full set on a fresh 10^5-node ssgw out-rooted tree: no
+        adjacency is built, and the peak, mostly the two copies of the
+        set (in ``_check_nodes`` and in ``weight_of``), stays below 150
+        bytes a node."""
+        n = 10**5
+        inst = random_instance(
+            GraphClass.OUT_ROOTED_TREE, n, weight_max=1, seed=1, kind=ProblemKind.SSGW
+        )
+        full = set(range(n))
+        tracemalloc.start()
+        try:
+            report = evaluate(inst, full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.satisfies_closure and report.total_weight == sum(inst.weights)
+        for name in ("out_adj", "in_adj"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(inst.graph, name)
+        assert peak < 150 * n, peak

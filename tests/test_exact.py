@@ -18,14 +18,13 @@ from dss import (
     SolverError,
     WeightedInstance,
     brute_force,
-    is_feasible,
+    evaluate,
     random_instance,
     solve_maximal_ssg_tree,
     solve_ssg_tree,
     solve_ssgw_rooted_tree,
     solve_tournament,
     subset_sum_to_tree,
-    verify_solution,
 )
 from dss import _kernels
 from dss.cli import _solve_auto
@@ -60,7 +59,7 @@ class TestBruteForce:
                 assert sol is None
             else:
                 assert sol is not None and sol.weight == expected
-                assert verify_solution(inst, sol).feasible
+                assert evaluate(inst, sol.selected).feasible
 
     def test_tie_break_lexicographic(self):
         g = Digraph(2, [])
@@ -84,7 +83,7 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sol is not None and verify_solution(inst, sol).feasible
+        assert sol is not None and evaluate(inst, sol.selected).feasible
         return peak
 
     @classmethod
@@ -299,7 +298,7 @@ class TestForestDP:
     def test_solution_is_feasible(self, fig_a):
         inst = make_instance(fig_a, [2, 1, 4, 3, 1, 2, 5, 1], 7)
         sol = solve_ssg_tree(inst)
-        assert is_feasible(inst, sol.selected)
+        assert evaluate(inst, sol.selected).feasible
         assert inst.weight_of(sol.selected) == sol.weight
 
     def test_forest_input(self):
@@ -394,7 +393,7 @@ class TestForestDP:
             sol = solve_ssg_tree(inst)
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
-            assert is_feasible(inst, sol.selected)
+            assert evaluate(inst, sol.selected).feasible
 
 
 class TestMaximalTreeDP:
@@ -412,7 +411,7 @@ class TestMaximalTreeDP:
         ref = brute_force(inst)
         assert sol.weight == ref.weight
         assert 12 <= sol.weight <= 14
-        assert verify_solution(inst, sol).feasible
+        assert evaluate(inst, sol.selected).feasible
 
     def test_rejects_forest(self):
         g = Digraph(4, [(0, 1), (2, 3)])
@@ -426,7 +425,7 @@ class TestMaximalTreeDP:
             sol = solve_maximal_ssg_tree(inst)
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
-            assert verify_solution(inst, sol).feasible
+            assert evaluate(inst, sol.selected).feasible
 
     def test_mixed_weights_and_edge_budgets(self):
         """Weights of 0, small and above B make levels empty, equal to
@@ -445,7 +444,7 @@ class TestMaximalTreeDP:
                 sol = solve_maximal_ssg_tree(inst)
                 assert sol.weight == brute_force(inst).weight, f"seed {seed} budget {budget}"
                 assert inst.weight_of(sol.selected) == sol.weight
-                assert verify_solution(inst, sol).feasible
+                assert evaluate(inst, sol.selected).feasible
 
 
 class TestWeakTreeDP:
@@ -473,7 +472,7 @@ class TestWeakTreeDP:
             sol = solve_ssgw_rooted_tree(inst)
             ref = brute_force(inst)
             assert sol.weight == ref.weight, f"seed {seed}"
-            assert is_feasible(inst, sol.selected)
+            assert evaluate(inst, sol.selected).feasible
 
 
 def _split_by_candidate(left, pairs, views, rem):
@@ -727,19 +726,19 @@ class TestDeepTrees:
         for w in reversed(inst.weights):
             suffixes.append(suffixes[-1] + w)
         assert sol.weight == max(s for s in suffixes if s <= inst.budget)
-        assert is_feasible(inst, sol.selected)
+        assert evaluate(inst, sol.selected).feasible
 
     def test_ssgw_out_rooted_path(self):
         inst = deep_path_instance(ProblemKind.SSGW, self.N, 7)
         sol = solve_ssgw_rooted_tree(inst)
         assert inst.weight_of(sol.selected) == sol.weight
-        assert is_feasible(inst, sol.selected)
+        assert evaluate(inst, sol.selected).feasible
 
     def test_maximal_oriented_path(self):
         inst = deep_path_instance(ProblemKind.MAXIMAL_SSG, self.N, 7)
         sol = solve_maximal_ssg_tree(inst)
         assert inst.weight_of(sol.selected) == sol.weight
-        assert verify_solution(inst, sol).feasible
+        assert evaluate(inst, sol.selected).feasible
 
 
 class TestTournament:

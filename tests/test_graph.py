@@ -36,6 +36,7 @@ from dss.graph import (
     is_in_rooted_tree,
     is_out_rooted_tree,
     is_tournament,
+    is_underlying_connected,
     is_underlying_forest,
     is_underlying_tree,
     mask_nodes,
@@ -210,6 +211,7 @@ class TestArrayFacts:
         assert is_balanced_degree_two(g) == oracles.is_balanced_degree_two_oracle(g)
         tree = oracles.underlying_tree_oracle(g)
         assert is_underlying_forest(g) == oracles.underlying_forest_oracle(g)
+        assert is_underlying_connected(g) == oracles.underlying_connected_oracle(g)
         assert is_underlying_tree(g) == tree
         assert is_out_rooted_tree(g) == (g.n > 0 and tree and oracles.out_degrees_at_most_one(g))
         assert is_in_rooted_tree(g) == (g.n > 0 and tree and oracles.in_degrees_at_most_one(g))
@@ -267,6 +269,14 @@ class TestArrayFacts:
             object.__getattribute__(g, "out_adj")
         with pytest.raises(AttributeError):
             g.no_such_slot
+
+    def test_union_find_builds_no_adjacency(self):
+        g = Digraph(6, [(0, 1), (2, 1), (3, 4), (4, 3)])
+        assert not is_underlying_forest(g) and not is_underlying_connected(g)
+        assert is_underlying_connected(Digraph(3, [(2, 0), (1, 2)]))
+        for name in ("out_adj", "in_adj"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(g, name)
 
     def test_from_ids_matches_pairs(self):
         arcs = [(4, 0), (0, 2), (3, 1), (2, 4)]
