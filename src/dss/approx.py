@@ -179,11 +179,14 @@ class _Reach:
 
 def _condensed_view(inst: WeightedInstance):
     """(dag, topological order, weights, expand) with expand mapping a
-    component mask back to nodes."""
+    component mask back to the nodes of those components."""
     cond = condense(inst.graph, inst.weights)
 
-    def expand(comps):
-        return {v for c in mask_nodes(comps) for v in cond.members[c]}
+    def expand(comps: int) -> list[int]:
+        chosen = np.zeros(cond.dag.n, dtype=np.bool_)
+        chosen[np.fromiter(mask_nodes(comps), np.int64)] = True
+        comp = np.fromiter(cond.component_of, np.int64, inst.graph.n)
+        return np.flatnonzero(chosen[comp]).tolist()
 
     return cond.dag, _topological_order(cond.dag), list(cond.component_weight), expand
 

@@ -711,14 +711,18 @@ def solve_tournament(inst: WeightedInstance) -> Solution:
     h, weights = cond.dag, cond.component_weight
     if not is_tournament(h):
         raise SolverError("input is not a tournament (nor condenses to one)")
-    # An acyclic tournament is transitive, so its path runs by decreasing
-    # out-degree: walk it up from the sink while the budget holds.
-    chosen, total = [], 0
-    for c in sorted(range(h.n), key=lambda v: len(h.out_adj[v])):
+    # An acyclic tournament is transitive, so its out-degrees are distinct
+    # and its path runs by decreasing out-degree: walk it up from the sink
+    # while the budget holds.  The suffix of length ``size`` is then the
+    # components of out-degree below ``size``.
+    out_degree = np.bincount(h.tail, minlength=h.n)
+    size = total = 0
+    for c in np.argsort(out_degree).tolist():
         if total + weights[c] > inst.budget:
             break
-        chosen.append(c)
+        size += 1
         total += weights[c]
     if inst.kind is ProblemKind.SSG and total == 0:
-        chosen = []
-    return Solution(frozenset(v for c in chosen for v in cond.members[c]), total)
+        size = 0
+    comp = np.fromiter(cond.component_of, np.int64, inst.graph.n)
+    return Solution(frozenset(np.flatnonzero(out_degree[comp] < size).tolist()), total)

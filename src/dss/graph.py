@@ -8,8 +8,11 @@ them first.  The sorted tuple of pairs ``arcs`` and the adjacency tuples
 ``out_adj`` and ``in_adj`` are built on first read and kept, so a graph
 that is only written out or counted never builds them.  The structural
 predicates behind ``classify`` and the condensation live here: degree
-tests use ``np.bincount`` over the arrays.  ``condense`` alone knows that
-an acyclic graph is its own condensation; a cyclic one's is kept on it.
+tests use ``np.bincount`` over the arrays.  A condensation is its
+component map: component c is the set of nodes v with
+``component_of[v] == c``, and no node list per component is kept.
+``condense`` alone knows that an acyclic graph is its own condensation;
+a cyclic one's is kept on it.
 
 This module owns the mask representation of node sets that the solvers
 share: a set is a Python int with bit v set for node v.
@@ -224,30 +227,15 @@ def _topological_order(g: Digraph) -> list[int]:
 
 @dataclass(frozen=True)
 class Condensation:
-    """DAG-of-SCCs view.  An acyclic graph is its own condensation:
-    ``dag`` is the graph, component v is node v.  Otherwise components
-    are numbered in topological order, ties broken by smallest member."""
+    """DAG-of-SCCs view: component c is the set of nodes v with
+    ``component_of[v] == c``, and ``component_weight[c]`` is their weight.
+    An acyclic graph is its own condensation: ``dag`` is the graph and
+    ``component_of`` is ``range(n)``.  Otherwise components are numbered
+    in topological order, ties broken by smallest member."""
 
     dag: Digraph
     component_of: Sequence[int]
     component_weight: tuple[int, ...]
-    members: Sequence[tuple[int, ...]]
-
-
-class _Singletons(Sequence):
-    """``(c,)`` for each component c of an acyclic graph, made on access."""
-
-    def __init__(self, n: int):
-        self.ids = range(n)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, c: int) -> tuple[int]:
-        return (self.ids[c],)
-
-    def __iter__(self) -> Iterator[tuple[int]]:
-        return zip(self.ids)
 
 
 def _strongly_connected_components(g: Digraph) -> list[list[int]]:
@@ -300,7 +288,7 @@ def _strongly_connected_components(g: Digraph) -> list[list[int]]:
 
 
 def _condensation(g: Digraph) -> tuple:
-    """(dag, component_of, members) of a cyclic ``g``."""
+    """(dag, component_of) of a cyclic ``g``."""
     comps = _strongly_connected_components(g)
     k = len(comps)
     raw_of = [0] * g.n
@@ -320,21 +308,18 @@ def _condensation(g: Digraph) -> tuple:
     least = [min(comp) for comp in comps]
     ready = [(least[c], c) for c in range(k) if indeg[c] == 0]
     heapq.heapify(ready)
-    new_id = [-1] * k
     order = []
     while ready:
         _, c = heapq.heappop(ready)
-        new_id[c] = len(order)
         order.append(c)
         for y in succ[c]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 heapq.heappush(ready, (least[y], y))
-    renumber = np.array(new_id, dtype=np.int64)
+    # ``order`` is a permutation of range(k); its inverse is the new ids.
+    renumber = np.argsort(order)
     dag = Digraph.from_ids(k, renumber[a], renumber[b])
-    members = tuple(tuple(sorted(comps[c])) for c in order)
-    component_of = tuple(renumber[raw_of].tolist())
-    return dag, component_of, members
+    return dag, tuple(renumber[raw_of].tolist())
 
 
 def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
@@ -348,10 +333,13 @@ def condense(g: Digraph, weights: Iterable[int]) -> Condensation:
     except AttributeError:
         kept = g._condensed = None if is_dag(g) else _condensation(g)
     if kept is None:
-        return Condensation(g, range(g.n), w, _Singletons(g.n))
-    dag, component_of, members = kept
-    component_weight = tuple(sum(w[v] for v in m) for m in members)
-    return Condensation(dag, component_of, component_weight, members)
+        return Condensation(g, range(g.n), w)
+    dag, component_of = kept
+    # Python ints: a float64 sum would be inexact above 2^53.
+    component_weight = [0] * dag.n
+    for c, x in zip(component_of, w):
+        component_weight[c] += x
+    return Condensation(dag, component_of, tuple(component_weight))
 
 
 def _at_most_one_each(ids: np.ndarray) -> bool:

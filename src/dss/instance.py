@@ -55,7 +55,10 @@ class WeightedInstance:
             raise InstanceError("budget out of 63-bit nonnegative range")
 
     def weight_of(self, s: Iterable[int]) -> int:
-        return sum(self.weights[v] for v in set(s))
+        """Weight of the distinct nodes of ``s``; a set is read in place."""
+        if not isinstance(s, (set, frozenset)):
+            s = set(s)
+        return sum(self.weights[v] for v in s)
 
     def total_weight(self) -> int:
         return sum(self.weights)

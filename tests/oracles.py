@@ -242,11 +242,11 @@ def closure_witness_oracle(g: Digraph, s: set[int]) -> Optional[tuple[int, int]]
 
 
 def condensation_oracle(g: Digraph) -> tuple:
-    """(dag arcs, component_of, members).  An acyclic graph is its own
-    condensation: its arcs, component v being node v.  Otherwise the
-    components are found by mutual reachability and numbered in
-    topological order with ties by smallest member, by repeatedly taking
-    the ready component of smallest member."""
+    """(dag arcs, component_of, each component's sorted nodes).  An
+    acyclic graph is its own condensation: its arcs, component v being
+    node v.  Otherwise the components are found by mutual reachability
+    and numbered in topological order with ties by smallest member, by
+    repeatedly taking the ready component of smallest member."""
     if _acyclic_oracle(g):
         return tuple(sorted(g.arcs)), tuple(range(g.n)), tuple((v,) for v in range(g.n))
     comps = sorted(scc_oracle(g.n, g.arcs), key=min)
@@ -261,8 +261,8 @@ def condensation_oracle(g: Digraph) -> tuple:
         order.append(min(ready, key=lambda c: min(comps[c])))
     new_id = {c: i for i, c in enumerate(order)}
     dag_arcs = tuple(sorted((new_id[a], new_id[b]) for a, b in cross))
-    members = tuple(tuple(sorted(comps[c])) for c in order)
-    return dag_arcs, tuple(new_id[comp_of[v]] for v in range(g.n)), members
+    component_nodes = tuple(tuple(sorted(comps[c])) for c in order)
+    return dag_arcs, tuple(new_id[comp_of[v]] for v in range(g.n)), component_nodes
 
 
 def maximality_strong_oracle(inst: WeightedInstance, sel: set[int]) -> Optional[int]:
@@ -270,11 +270,11 @@ def maximality_strong_oracle(inst: WeightedInstance, sel: set[int]) -> Optional[
     condensation: the smallest member of a fitting sink component of the
     unselected part, a component counting as selected when it meets
     ``sel``, whatever the graph."""
-    dag_arcs, component_of, members = condensation_oracle(inst.graph)
+    dag_arcs, component_of, component_nodes = condensation_oracle(inst.graph)
     sel_comps = {component_of[v] for v in sel}
     total = inst.weight_of(sel)
     best: Optional[int] = None
-    for c, nodes in enumerate(members):
+    for c, nodes in enumerate(component_nodes):
         if c in sel_comps:
             continue
         if any(a == c and b not in sel_comps for a, b in dag_arcs):
@@ -419,7 +419,7 @@ def tournament_oracle(inst: WeightedInstance) -> Solution:
     if cond is None:
         nodes = set(chosen_comps)
     else:
-        nodes = {v for c in chosen_comps for v in cond.members[c]}
+        nodes = {v for v, c in enumerate(cond.component_of) if c in chosen_comps}
     return Solution(frozenset(nodes), suffix_weight[best_k])
 
 

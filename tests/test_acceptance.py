@@ -275,7 +275,7 @@ def test_criterion_7_condensation_soundness(report):
             )
         )
         expanded = {
-            v for c in csol.selected for v in cond.members[c]
+            v for v, c in enumerate(cond.component_of) if c in csol.selected
         }
         report_eval = evaluate(inst, expanded)
         ok = (

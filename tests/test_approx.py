@@ -230,7 +230,7 @@ def _oracle_result(inst, k):
         comps = oracle(
             cond.dag.n, cond.dag.arcs, cond.component_weight, inst.budget, k
         )
-        nodes = frozenset(v for c in comps for v in cond.members[c])
+        nodes = frozenset(v for v, c in enumerate(cond.component_of) if c in comps)
     return ApproxResult(Solution(nodes, inst.weight_of(nodes)), k, guarantee)
 
 
