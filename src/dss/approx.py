@@ -108,16 +108,18 @@ class _Reach:
         n = g.n
         self.full = (1 << n) - 1
         self.succ, self.pred = neighbour_masks(g)
+        ptr, head = g.out_ptr.tolist(), g.head.tolist()
         self.desc = [0] * n
         for v in reversed(order):
             m = 1 << v
-            for u in g.out_adj[v]:
+            for u in head[ptr[v]:ptr[v + 1]]:
                 m |= self.desc[u]
             self.desc[v] = m
+        ptr, tail = g.in_ptr.tolist(), g.in_tail.tolist()
         self.anc = [0] * n
         for v in order:
             m = 0
-            for p in g.in_adj[v]:
+            for p in tail[ptr[v]:ptr[v + 1]]:
                 m |= self.anc[p] | 1 << p
             self.anc[v] = m
         self.weights = weights

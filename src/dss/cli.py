@@ -351,7 +351,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    inst, _labels = formats.parse_instance(_read(args.instance))
+    inst = formats.parse_instance(_read(args.instance))[0]
     g = inst.graph
     with _output(None) as fh:
         fh.write(f"class {classify(g).value}\nnodes {g.n}\narcs {g.m}\n")
@@ -364,7 +364,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate_clique(args) -> int:
-    graph, _labels = formats.parse_edge_list(_read(args.edges))
+    graph = formats.parse_edge_list(_read(args.edges))[0]
     spec = gadgets.CliqueGadgetSpec(graph, args.clique_size)
     inst, labels = gadgets.clique_to_ssg(spec)
     with _output(args.out) as fh:
@@ -377,7 +377,7 @@ def cmd_generate_clique(args) -> int:
 
 
 def cmd_generate_hard_maximal(args) -> int:
-    src, _labels = formats.parse_instance(_read(args.instance))
+    src = formats.parse_instance(_read(args.instance))[0]
     if src.kind is not ProblemKind.SSG:
         raise InstanceError("source instance must use the ssg kind")
     spec = gadgets.MaximalGadgetSpec(src.graph, src.weights, args.p, src.budget)
@@ -389,7 +389,7 @@ def cmd_generate_hard_maximal(args) -> int:
 
 
 def cmd_generate_independent_set(args) -> int:
-    graph, _labels = formats.parse_edge_list(_read(args.edges))
+    graph = formats.parse_edge_list(_read(args.edges))[0]
     spec = gadgets.ISGadgetSpec(graph)
     inst, labels = gadgets.graph_to_ssgw(spec, ProblemKind(args.kind))
     with _output(args.out) as fh:

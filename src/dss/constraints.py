@@ -46,14 +46,20 @@ def _read(g: Digraph, s) -> tuple[set[int], np.ndarray]:
     return sel, picked
 
 
+def _forced(g: Digraph, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node its count of unselected in-neighbours, and whether the
+    weak rule forces it: it has in-neighbours, all selected, and is not."""
+    missing = np.bincount(g.head[~picked[g.tail]], minlength=g.n)
+    has_in = np.bincount(g.head, minlength=g.n) > 0
+    return missing, has_in & ~picked & (missing == 0)
+
+
 def _witness(g: Digraph, picked: np.ndarray, weak: bool) -> Union[tuple[int, int], int, None]:
     """The smallest arc (x,y) with x selected and y not, or under the weak
     rule the smallest unselected node with in-neighbours, all selected;
     None when closed.  ``picked`` is the boolean array of the selection."""
     if weak:
-        has_in = np.bincount(g.head, minlength=g.n) > 0
-        missing = np.bincount(g.head[~picked[g.tail]], minlength=g.n)
-        bad = np.flatnonzero(has_in & ~picked & (missing == 0))
+        bad = np.flatnonzero(_forced(g, picked)[1])
         return int(bad[0]) if bad.size else None
     # Arcs are stored sorted, so the first violating arc is the minimal one.
     bad = np.flatnonzero(picked[g.tail] & ~picked[g.head])
@@ -72,21 +78,18 @@ def check_weak_closure(g: Digraph, s) -> Optional[int]:
 
 def weak_closure_completion(g: Digraph, s) -> set[int]:
     """Minimal superset of ``s`` closed under the weak forcing rule."""
-    sel = g._check_nodes(s)
-    # Count unselected in-neighbours per node; force nodes as counts hit 0.
-    missing = [0] * g.n
-    queue = []
-    for x in range(g.n):
-        ins = g.in_adj[x]
-        missing[x] = sum(1 for p in ins if p not in sel)
-        if ins and x not in sel and missing[x] == 0:
-            queue.append(x)
+    sel, picked = _read(g, s)
+    # Force nodes as their counts of unselected in-neighbours hit 0.
+    missing, forced = _forced(g, picked)
+    queue = np.flatnonzero(forced).tolist()
+    missing = missing.tolist()
+    ptr, head = memoryview(g.out_ptr), memoryview(g.head)
     while queue:
         x = queue.pop()
         if x in sel:
             continue
         sel.add(x)
-        for y in g.out_adj[x]:
+        for y in head[ptr[x]:ptr[x + 1]]:
             missing[y] -= 1
             if missing[y] == 0 and y not in sel:
                 queue.append(y)

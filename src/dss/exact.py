@@ -205,6 +205,10 @@ def _hang(g: Digraph, starts: Iterable[int]) -> tuple[list[list[tuple[int, bool]
     sorted by child, and an order of all nodes with each after its
     children."""
     n = g.n
+    sides = (
+        (memoryview(g.out_ptr), memoryview(g.head), True),
+        (memoryview(g.in_ptr), memoryview(g.in_tail), False),
+    )
     kids: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
     seen = [False] * n
     order: list[int] = []
@@ -217,8 +221,8 @@ def _hang(g: Digraph, starts: Iterable[int]) -> tuple[list[list[tuple[int, bool]
         while stack:
             v = stack.pop()
             order.append(v)
-            for adj, up in ((g.out_adj[v], True), (g.in_adj[v], False)):
-                for u in adj:
+            for ptr, adj, up in sides:
+                for u in adj[ptr[v]:ptr[v + 1]]:
                     if not seen[u]:
                         seen[u] = True
                         kids[v].append((u, up))
@@ -686,7 +690,7 @@ def solve_ssgw_rooted_tree(inst: WeightedInstance) -> Solution:
         raise SolverError(
             "weak-closure tree DP requires an in-rooted or out-rooted tree"
         )
-    sink = next(v for v in g.nodes() if not g.out_adj[v])
+    sink = int(np.flatnonzero(g.out_ptr[1:] == g.out_ptr[:-1])[0])
     return _tree_solution(inst, _WEAK, [sink])
 
 

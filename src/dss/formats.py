@@ -30,7 +30,9 @@ lists); labels live only at this boundary.
 ``write_instance`` writes an instance file to an open text handle,
 ``CHUNK_LINES`` lines per ``write``, so that writing it holds the
 instance and one chunk of text, not the whole file; ``emit_instance``
-returns the same text as a string.
+returns the same text as a string.  The parsers walk their text in
+pieces of about ``PARSE_CHUNK`` characters, so they hold one piece's
+lines at a time, not a list of every line.
 """
 from __future__ import annotations
 
@@ -51,13 +53,33 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+# Characters of text per piece of the parsers' line walk.
+PARSE_CHUNK = 1 << 14
+
+
+def _pieces(text: str):
+    """``(first line number, lines)`` per piece of ``text``, together the
+    lines of ``text.splitlines()``.  Each piece but the last ends just
+    after the first ``"\n"`` at least ``PARSE_CHUNK`` characters into it:
+    a ``"\n"``, alone or after ``"\r"``, always ends a line, so no line
+    is split.  Only one piece's lines are held at a time."""
+    start, lineno = 0, 1
+    while start < len(text):
+        cut = text.find("\n", start + PARSE_CHUNK - 1) + 1 or len(text)
+        lines = text[start:cut].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        start = cut
+
+
 def _lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        parts = raw.split()
-        if parts:
-            yield i, parts
+    for first, lines in _pieces(text):
+        for i, raw in enumerate(lines, first):
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            parts = raw.split()
+            if parts:
+                yield i, parts
 
 
 def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
@@ -71,50 +93,51 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
     try:
         # ``_lines`` inlined: on large files the generator alone costs about
         # a quarter of this loop.  Arc lines, the most common, come first.
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if "#" in raw:
-                raw = raw.split("#", 1)[0]
-            parts = raw.split()
-            if not parts:
-                continue
-            key = parts[0]
-            if key == "arc":
-                if len(parts) != 3:
-                    raise ParseError("expected: arc <src> <dst>", lineno)
-                try:
-                    u, v = index[parts[1]], index[parts[2]]
-                except KeyError as exc:
-                    raise ParseError(f"undeclared node label {exc.args[0]!r}", lineno)
-                if u == v:
-                    raise ParseError(f"loop arc at {parts[1]!r}", lineno)
-                tails.append(u)
-                heads.append(v)
-            elif key == "node":
-                if len(parts) != 3:
-                    raise ParseError("expected: node <label> <weight>", lineno)
-                label = parts[1]
-                if label in index:
-                    raise ParseError(f"duplicate node label {label!r}", lineno)
-                index[label] = len(labels)
-                labels.append(label)
-                weights.append(_nonneg_int(parts[2], lineno))
-            elif key == "problem":
-                if len(parts) != 2:
-                    raise ParseError("expected: problem <kind>", lineno)
-                if kind is not None:
-                    raise ParseError("duplicate problem line", lineno)
-                try:
-                    kind = ProblemKind(parts[1])
-                except ValueError:
-                    raise ParseError(f"unknown problem kind {parts[1]!r}", lineno)
-            elif key == "budget":
-                if len(parts) != 2:
-                    raise ParseError("expected: budget <int>", lineno)
-                if budget is not None:
-                    raise ParseError("duplicate budget line", lineno)
-                budget = _nonneg_int(parts[1], lineno)
-            else:
-                raise ParseError(f"unknown directive {key!r}", lineno)
+        for first, lines in _pieces(text):
+            for lineno, raw in enumerate(lines, first):
+                if "#" in raw:
+                    raw = raw.split("#", 1)[0]
+                parts = raw.split()
+                if not parts:
+                    continue
+                key = parts[0]
+                if key == "arc":
+                    if len(parts) != 3:
+                        raise ParseError("expected: arc <src> <dst>", lineno)
+                    try:
+                        u, v = index[parts[1]], index[parts[2]]
+                    except KeyError as exc:
+                        raise ParseError(f"undeclared node label {exc.args[0]!r}", lineno)
+                    if u == v:
+                        raise ParseError(f"loop arc at {parts[1]!r}", lineno)
+                    tails.append(u)
+                    heads.append(v)
+                elif key == "node":
+                    if len(parts) != 3:
+                        raise ParseError("expected: node <label> <weight>", lineno)
+                    label = parts[1]
+                    if label in index:
+                        raise ParseError(f"duplicate node label {label!r}", lineno)
+                    index[label] = len(labels)
+                    labels.append(label)
+                    weights.append(_nonneg_int(parts[2], lineno))
+                elif key == "problem":
+                    if len(parts) != 2:
+                        raise ParseError("expected: problem <kind>", lineno)
+                    if kind is not None:
+                        raise ParseError("duplicate problem line", lineno)
+                    try:
+                        kind = ProblemKind(parts[1])
+                    except ValueError:
+                        raise ParseError(f"unknown problem kind {parts[1]!r}", lineno)
+                elif key == "budget":
+                    if len(parts) != 2:
+                        raise ParseError("expected: budget <int>", lineno)
+                    if budget is not None:
+                        raise ParseError("duplicate budget line", lineno)
+                    budget = _nonneg_int(parts[1], lineno)
+                else:
+                    raise ParseError(f"unknown directive {key!r}", lineno)
         if kind is None:
             raise ParseError("missing problem line")
         if budget is None:
@@ -160,7 +183,7 @@ def _nonneg_int(token: str, lineno: int) -> int:
 
 
 # Lines of instance text per ``write`` call of ``write_instance``.
-CHUNK_LINES = 4096
+CHUNK_LINES = 1024
 
 
 def write_instance(inst: WeightedInstance, labels: list[str], fh: TextIO) -> None:
@@ -278,23 +301,21 @@ def parse_edge_list(text: str) -> tuple[UndirectedGraph, list[str]]:
     """Undirected edge list; node ids by first appearance."""
     labels: list[str] = []
     index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     for lineno, parts in _lines(text):
         if parts[0] != "edge" or len(parts) != 3:
             raise ParseError("expected: edge <u> <v>", lineno)
-        ids = []
-        for label in parts[1:]:
+        for label, ids in zip(parts[1:], (us, vs)):
             if label not in index:
                 index[label] = len(labels)
                 labels.append(label)
             ids.append(index[label])
-        u, v = ids
-        if u == v:
+        if us[-1] == vs[-1]:
             raise ParseError("self-loop edge", lineno)
-        edges.append((u, v))
     try:
-        graph = UndirectedGraph(len(labels), tuple(edges))
-    except InstanceError:
+        graph = UndirectedGraph.from_ids(len(labels), us, vs)
+    except GraphError:
         # Ids are in range and loops were refused above: only a repeat is left.
         raise ParseError("duplicate edge") from None
     return graph, labels

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,34 +27,55 @@ from .graph import Digraph, GraphClass, is_dag, is_underlying_connected
 from .instance import InstanceError, ProblemKind, WeightedInstance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UndirectedGraph:
     """Simple undirected graph on nodes 0..n-1, held as the ``Digraph``
-    of its edges, each edge an arc from its smaller end."""
+    of its edges, each edge an arc from its smaller end.  ``edges``, the
+    sorted tuple of (smaller, larger) pairs, is built on each read."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    graph: Digraph = field(init=False, repr=False, compare=False)
+    graph: Digraph
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges):
         try:
-            graph = Digraph(self.n, [(u, v) if u < v else (v, u) for u, v in self.edges])
+            graph = Digraph(n, [(u, v) if u < v else (v, u) for u, v in edges])
         except (TypeError, ValueError):  # GraphError is a ValueError
-            raise _edge_error(self.n, self.edges) from None
+            raise _edge_error(n, edges) from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "edges", graph.arcs)
+
+    @classmethod
+    def from_ids(cls, n: int, us, vs) -> UndirectedGraph:
+        """The graph on ``n`` nodes with an edge ``us[i] -- vs[i]`` for each
+        i: two id lists of one length, in range and loop-free.  A repeated
+        edge raises ``GraphError``."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "graph", Digraph.from_ids(n, np.minimum(us, vs), np.maximum(us, vs)))
+        return out
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.graph.arcs
 
     def neighbours(self, v: int) -> list[int]:
         # Arcs run from the smaller end, so the in-neighbours are the
         # smaller neighbours and the out-neighbours the larger, each sorted.
-        return [*self.graph.in_adj[v], *self.graph.out_adj[v]]
+        g = self.graph
+        return [
+            *g.in_tail[g.in_ptr[v]:g.in_ptr[v + 1]].tolist(),
+            *g.head[g.out_ptr[v]:g.out_ptr[v + 1]].tolist(),
+        ]
 
     def degree(self, v: int) -> int:
-        return len(self.graph.in_adj[v]) + len(self.graph.out_adj[v])
+        g = self.graph
+        return int(g.in_ptr[v + 1] - g.in_ptr[v] + g.out_ptr[v + 1] - g.out_ptr[v])
 
     def is_regular(self) -> Optional[int]:
-        degs = set(map(self.degree, range(self.n)))
-        return degs.pop() if len(degs) == 1 else None
+        g = self.graph
+        degs = np.unique(np.diff(g.in_ptr) + np.diff(g.out_ptr))
+        return int(degs[0]) if len(degs) == 1 else None
 
     def is_connected(self) -> bool:
         return is_underlying_connected(self.graph)
@@ -197,15 +218,15 @@ def cardinality_to_maximal(
     p, b = spec.p, spec.budget
     shift = p**2 * b + p * b
     weights = [w + shift for w in spec.weights] + [p**2 * b] * (p + 1)
-    arcs = list(g.arcs)
-    sinks = [v for v in range(n) if not g.out_adj[v]]
-    for u in sinks:
-        arcs.append((u, n))  # node n is the unique sink of the chain
-    for j in range(1, p + 1):
-        arcs.append((n + j, n + j - 1))
+    sinks = np.flatnonzero(g.out_ptr[1:] == g.out_ptr[:-1])
+    chain = np.arange(n + 1, n + p + 1)
+    # Every sink points to node n, the unique sink of the chain
+    # n + p -> ... -> n + 1 -> n.
+    tail = np.concatenate((g.tail, sinks, chain))
+    head = np.concatenate((g.head, np.full(len(sinks), n), chain - 1))
     labels = [f"v{i}" for i in range(n)] + [f"d{j}" for j in range(1, p + 2)]
     inst = WeightedInstance(
-        Digraph(n + p + 1, arcs),
+        Digraph.from_ids(n + p + 1, tail, head),
         tuple(weights),
         spec.out_budget,
         ProblemKind.MAXIMAL_SSG,
@@ -236,8 +257,9 @@ def graph_to_ssgw(
     if not kind.is_weak:
         raise InstanceError("reduction targets the weak-closure kinds")
     src = spec.source
-    n, m = src.n, len(src.edges)
-    labels = [f"v{i}" for i in range(n)] + [f"e{u}_{v}" for u, v in src.edges]
+    n, m = src.n, src.graph.m
+    labels = [f"v{i}" for i in range(n)]
+    labels += map("e{}_{}".format, src.graph.tail.tolist(), src.graph.head.tolist())
     # Edge node n + i has both ends of edge i as its in-neighbours.
     edge_node = np.arange(n, n + m)
     graph = Digraph.from_ids(
@@ -295,9 +317,11 @@ def random_instance(
     if not 0 <= arc_prob <= 1:
         raise InstanceError("arc_prob must lie in [0, 1]")
     rng = random.Random(seed)
-    # The arcs are tails[i] -> heads[i], drawn in a fixed order.
+    # The arcs are tails[i] -> heads[i], drawn in a fixed order, or for a
+    # tournament the sorted codes u*n + v.
     tails: list[int] = []
     heads: list[int] = []
+    codes = None
     if graph_class is GraphClass.GENERAL:
         for u in range(n):
             for v in range(n):
@@ -331,10 +355,12 @@ def random_instance(
     elif graph_class is GraphClass.TOURNAMENT:
         order = list(range(n))
         rng.shuffle(order)
-        # Every pair i < j of positions, as an arc order[i] -> order[j].
-        i, j = np.triu_indices(n, 1)
-        order = np.array(order)
-        tails, heads = order[i], order[j]
+        # Every pair i < j of positions, as an arc order[i] -> order[j]:
+        # u -> v whenever u comes before v, so the flat indices u*n + v of
+        # the true cells of this matrix are the sorted arc codes.
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        codes = np.flatnonzero(pos[:, None] < pos)
     elif graph_class is GraphClass.BALANCED_DEGREE_TWO:
         if n < 3:
             raise InstanceError("balanced-degree-two needs n >= 3")
@@ -357,4 +383,5 @@ def random_instance(
         budget = int(value)
     else:
         raise InstanceError(f"unknown budget rule {rule!r}")
-    return WeightedInstance(Digraph.from_ids(n, tails, heads), weights, budget, kind)
+    graph = Digraph.from_ids(n, tails, heads) if codes is None else Digraph._from_codes(n, codes)
+    return WeightedInstance(graph, weights, budget, kind)

@@ -4,15 +4,18 @@ Nodes are dense integers 0..n-1.  Graphs are immutable and hashable.
 A ``Digraph`` stores its arcs as two sorted int64 id arrays, ``tail`` and
 ``head``.  Code that produces graphs hands them over as two id lists or
 arrays (``Digraph.from_ids``); ``Digraph(n, arcs)`` takes pairs and checks
-them first.  The sorted tuple of pairs ``arcs`` and the adjacency tuples
-``out_adj`` and ``in_adj`` are built on first read and kept, so a graph
-that is only written out or counted never builds them.  The structural
-predicates behind ``classify`` and the condensation live here: degree
-tests use ``np.bincount`` over the arrays.  A condensation is its
-component map: component c is the set of nodes v with
-``component_of[v] == c``, and no node list per component is kept.
-``condense`` alone knows that an acyclic graph is its own condensation;
-a cyclic one's is kept on it.
+them first.  Every pass that walks arcs reads one adjacency format, int64
+CSR arrays: the out-neighbours of u are ``head[out_ptr[u]:out_ptr[u+1]]``
+and its in-neighbours ``in_tail[in_ptr[u]:in_ptr[u+1]]``, both sorted.
+``out_ptr`` and the pair ``in_ptr``/``in_tail`` are built on first read
+and kept, so a graph that is only written out or counted never builds
+them, and no graph keeps a Python object per arc; ``arcs``, the sorted
+tuple of pairs, is made anew on each read.  The structural predicates
+behind ``classify`` and the condensation live here: degree tests use
+``np.bincount`` over the arrays.  A condensation is its component map:
+component c is the set of nodes v with ``component_of[v] == c``, and no
+node list per component is kept.  ``condense`` alone knows that an
+acyclic graph is its own condensation; a cyclic one's is kept on it.
 
 This module owns the mask representation of node sets that the solvers
 share: a set is a Python int with bit v set for node v.
@@ -67,30 +70,28 @@ def _arc_error(n: int, arcs) -> GraphError:
     return GraphError("arcs must be pairs of integer node ids")
 
 
-def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
-    """Per node v the tuple of ``dst[i]`` over the arcs i with
-    ``src[i] == v``, in arc order."""
-    adj: list = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        adj[u].append(v)
-    # Each list becomes a tuple in place, so the lists and the tuples are
-    # never all alive at once.
-    for v, nbrs in enumerate(adj):
-        adj[v] = tuple(nbrs)
-    return tuple(adj)
+def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR row offsets of arcs grouped by ``ids``: ``ptr[v]:ptr[v+1]`` are
+    the positions of the arcs with id v, once they are sorted by id."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=ptr[1:])
+    ptr.flags.writeable = False
+    return ptr
 
 
 class Digraph:
     """Immutable simple digraph: no loops, no duplicate arcs.
 
     The arcs are held as two read-only int64 arrays, ``tail`` and
-    ``head``, sorted by (tail, head); ``m`` is their length.  ``arcs``
-    (the sorted tuple of pairs), ``out_adj`` and ``in_adj`` (a tuple of
-    neighbour tuples per node, each sorted) are built on first read and
-    kept.
+    ``head``, sorted by (tail, head); ``m`` is their length.  The CSR
+    offsets ``out_ptr`` (out-neighbours of u: ``head[out_ptr[u]:out_ptr[u+1]]``)
+    and, read together, ``in_ptr`` and ``in_tail`` (in-neighbours of v:
+    ``in_tail[in_ptr[v]:in_ptr[v+1]]``, the tails in a stable argsort of
+    ``head``) are read-only int64 arrays built on first read and kept.
+    ``arcs``, the sorted tuple of pairs, is built on each read.
     """
 
-    __slots__ = ("n", "m", "tail", "head", "arcs", "out_adj", "in_adj", "_condensed")
+    __slots__ = ("n", "m", "tail", "head", "out_ptr", "in_ptr", "in_tail", "_condensed")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -119,6 +120,15 @@ class Digraph:
         g._fill(n, tail, head, None)
         return g
 
+    @classmethod
+    def _from_codes(cls, n: int, code: np.ndarray) -> Digraph:
+        """The digraph on ``n`` nodes with an arc u -> v for each code
+        u*n + v of the sorted int64 array ``code``, whose ids the caller
+        has made in range and loop-free.  ``code`` is taken over."""
+        g = object.__new__(cls)
+        g._split(n, code)
+        return g
+
     def _fill(self, n: int, tail, head, raw) -> None:
         """Check the arcs ``tail[i] -> head[i]``, sort them and set ``n``,
         ``m``, ``tail`` and ``head``.  ``raw`` is the caller's list of
@@ -137,10 +147,15 @@ class Digraph:
         if bad:
             raise _arc_error(n, list(zip(tail, head)) if raw is None else raw)
         # Sort the codes u*n + v, which cannot overflow once the ids lie in
-        # range(n); a repeated arc shows as two equal neighbours.
+        # range(n).
         code = tail * n
         code += head
         code.sort()
+        self._split(n, code)
+
+    def _split(self, n: int, code: np.ndarray) -> None:
+        """Set ``n``, ``m``, ``tail`` and ``head`` from the sorted codes
+        u*n + v; a repeated arc shows as two equal neighbours."""
         if (code[1:] == code[:-1]).any():
             raise GraphError("duplicate arc")
         tail = code // n
@@ -150,18 +165,22 @@ class Digraph:
 
     def __getattr__(self, name: str):
         # Python calls this only for a slot not yet set.
-        if name == "arcs":
-            value = tuple(zip(self.tail.tolist(), self.head.tolist()))
-        elif name == "out_adj":
-            value = _adjacency(self.n, self.tail, self.head)
-        elif name == "in_adj":
-            # Arcs are sorted by tail, so each node's in-neighbours arrive
-            # in increasing order.
-            value = _adjacency(self.n, self.head, self.tail)
+        if name == "out_ptr":
+            self.out_ptr = _offsets(self.tail, self.n)
+        elif name in ("in_ptr", "in_tail"):
+            # Arcs are sorted by tail, so a stable sort by head leaves each
+            # node's in-neighbours in increasing order.
+            in_tail = self.tail[np.argsort(self.head, kind="stable")]
+            in_tail.flags.writeable = False
+            self.in_ptr, self.in_tail = _offsets(self.head, self.n), in_tail
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+        return object.__getattribute__(self, name)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The arcs as a sorted tuple of pairs, built on each read."""
+        return tuple(zip(self.tail.tolist(), self.head.tolist()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -213,12 +232,12 @@ def is_dag(g: Digraph) -> bool:
 
 def _topological_order(g: Digraph) -> list[int]:
     """Kahn's algorithm; returns fewer than n nodes when a circuit exists."""
-    out_adj = g.out_adj
+    ptr, head = memoryview(g.out_ptr), memoryview(g.head)
     indeg = np.bincount(g.head, minlength=g.n)
     order = np.flatnonzero(indeg == 0).tolist()
     indeg = indeg.tolist()
     for u in order:
-        for v in out_adj[u]:
+        for v in head[ptr[u]:ptr[u + 1]]:
             indeg[v] -= 1
             if not indeg[v]:
                 order.append(v)
@@ -240,9 +259,11 @@ class Condensation:
 
 def _strongly_connected_components(g: Digraph) -> list[list[int]]:
     """Iterative Tarjan; components in reverse topological discovery order.
-    Each frame of the DFS holds an iterator over its node's out-neighbours,
-    so a resumed node goes on where it left off."""
-    out_adj = g.out_adj
+    The DFS stack holds node ids only: ``nxt[v]`` is the position in
+    ``head`` of the next out-arc of v to follow, so a resumed node goes on
+    where it left off."""
+    ptr, head = memoryview(g.out_ptr), memoryview(g.head)
+    nxt = ptr[:-1].tolist()
     index = [-1] * g.n
     low = [0] * g.n
     on_stack = [False] * g.n
@@ -256,23 +277,27 @@ def _strongly_connected_components(g: Digraph) -> list[list[int]]:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(out_adj[root]))]
+        work = [root]
         while work:
-            v, it = work[-1]
-            for w in it:
+            v = work[-1]
+            i, end = nxt[v], ptr[v + 1]
+            while i < end:
+                w = head[i]
+                i += 1
                 if index[w] == -1:
+                    nxt[v] = i
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(out_adj[w])))
+                    work.append(w)
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
                 if work:
-                    pv = work[-1][0]
+                    pv = work[-1]
                     if low[v] < low[pv]:
                         low[pv] = low[v]
                 if low[v] == index[v]:
@@ -301,9 +326,8 @@ def _condensation(g: Digraph) -> tuple:
     cross = a != b
     a, b = np.divmod(np.unique(a[cross] * k + b[cross]), k)
     # Renumber components: topological order, ties by smallest member id.
-    succ: list[list[int]] = [[] for _ in range(k)]
-    for x, y in zip(a.tolist(), b.tolist()):
-        succ[x].append(y)
+    # The cross arcs are sorted by ``a``: their CSR is ``ptr`` over ``b``.
+    ptr, succ = memoryview(_offsets(a, k)), memoryview(b)
     indeg = np.bincount(b, minlength=k).tolist()
     least = [min(comp) for comp in comps]
     ready = [(least[c], c) for c in range(k) if indeg[c] == 0]
@@ -312,7 +336,7 @@ def _condensation(g: Digraph) -> tuple:
     while ready:
         _, c = heapq.heappop(ready)
         order.append(c)
-        for y in succ[c]:
+        for y in succ[ptr[c]:ptr[c + 1]]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 heapq.heappush(ready, (least[y], y))

@@ -26,8 +26,9 @@ to pin the rank-ordered one on graphs too large for
 ``ptas_maximal_ssg_oracle``.
 The structural facts that ``graph`` reads off its sorted arc arrays
 (degree tests, the tournament test, ``classify``, the closure witness
-and the condensation) have definitions here on the adjacency tuples and
-on reachability.  ``maximality_strong_oracle`` is the earlier
+and the condensation) have definitions here on the adjacency tuples of
+``adjacency_oracle``, built from the pairs ``Digraph.arcs`` rather than
+the CSR arrays, and on reachability.  ``maximality_strong_oracle`` is the earlier
 condensation-only ``_maximality_strong``, run on ``condensation_oracle``
 rather than the library's condensation, to pin the array test.
 ``underlying_connected_oracle`` is the earlier adjacency search of
@@ -67,8 +68,9 @@ def reference_digraph(n: int, arcs) -> Digraph:
     """The ``Digraph`` constructor as a set and a sort of tuples: the arcs
     are ``sorted(set(arcs))``, a repeat is an error, then one scan checks
     each arc in sorted order for range and then for a loop and fills the
-    adjacency.  Builds the instance without calling ``Digraph.__init__``:
-    ``tail`` and ``head`` are the columns of the sorted arcs."""
+    adjacency lists, whose lengths and entries give the CSR arrays.  Builds
+    the instance without calling ``Digraph.__init__``: ``tail`` and
+    ``head`` are the columns of the sorted arcs."""
     if n < 0:
         raise GraphError("node count must be nonnegative")
     raw = list(arcs)
@@ -89,10 +91,21 @@ def reference_digraph(n: int, arcs) -> Digraph:
     g.m = len(arc_list)
     g.tail = np.array([u for u, _ in arc_list], dtype=np.int64)
     g.head = np.array([v for _, v in arc_list], dtype=np.int64)
-    g.arcs = tuple(arc_list)
-    g.out_adj = tuple(tuple(a) for a in out_adj)
-    g.in_adj = tuple(tuple(a) for a in in_adj)
+    g.out_ptr = np.array([0, *itertools.accumulate(map(len, out_adj))], dtype=np.int64)
+    g.in_ptr = np.array([0, *itertools.accumulate(map(len, in_adj))], dtype=np.int64)
+    g.in_tail = np.array([u for a in in_adj for u in a], dtype=np.int64)
     return g
+
+
+def adjacency_oracle(n: int, arcs) -> tuple[tuple, tuple]:
+    """Per node the sorted tuples of its out- and in-neighbours, from one
+    scan of the sorted arcs."""
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(arcs):
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    return tuple(map(tuple, out_adj)), tuple(map(tuple, in_adj))
 
 
 def emit_instance_reference(inst: WeightedInstance, labels: list[str]) -> str:
@@ -158,24 +171,26 @@ def is_tournament_oracle(n: int, arcs) -> bool:
 
 
 def is_balanced_degree_two_oracle(g: Digraph) -> bool:
+    out_adj, in_adj = adjacency_oracle(g.n, g.arcs)
     return g.n > 0 and all(
-        len(g.out_adj[v]) == 2 and len(g.in_adj[v]) == 2 for v in range(g.n)
+        len(out_adj[v]) == 2 and len(in_adj[v]) == 2 for v in range(g.n)
     )
 
 
 def out_degrees_at_most_one(g: Digraph) -> bool:
-    return all(len(a) <= 1 for a in g.out_adj)
+    return all(len(a) <= 1 for a in adjacency_oracle(g.n, g.arcs)[0])
 
 
 def in_degrees_at_most_one(g: Digraph) -> bool:
-    return all(len(a) <= 1 for a in g.in_adj)
+    return all(len(a) <= 1 for a in adjacency_oracle(g.n, g.arcs)[1])
 
 
 def _acyclic_oracle(g: Digraph) -> bool:
     """Repeatedly drop a node with no remaining in-neighbour."""
+    in_adj = adjacency_oracle(g.n, g.arcs)[1]
     left = set(range(g.n))
     while True:
-        free = [v for v in left if not any(u in left for u in g.in_adj[v])]
+        free = [v for v in left if not any(u in left for u in in_adj[v])]
         if not free:
             return not left
         left -= set(free)
@@ -201,11 +216,12 @@ def underlying_connected_oracle(g: Digraph) -> bool:
     from node 0 over the adjacency tuples reaches every node."""
     if g.n == 0:
         return True
+    out_adj, in_adj = adjacency_oracle(g.n, g.arcs)
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in g.out_adj[u] + g.in_adj[u]:
+        for v in out_adj[u] + in_adj[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -294,8 +310,9 @@ def weak_closure_witness_oracle(g: Digraph, s) -> Optional[int]:
     tuples: the smallest node whose in-neighbours are all selected but
     which is not."""
     sel = g._check_nodes(s)
+    in_adj = adjacency_oracle(g.n, g.arcs)[1]
     for x in range(g.n):
-        ins = g.in_adj[x]
+        ins = in_adj[x]
         if ins and x not in sel and all(p in sel for p in ins):
             return x
     return None
@@ -370,7 +387,8 @@ def brute_force_oracle(inst: WeightedInstance) -> Optional[Solution]:
 
 def _hamiltonian_path(g: Digraph) -> list[int]:
     """Unique Hamiltonian path of an acyclic tournament."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.out_adj[v]), v))
+    out_adj = adjacency_oracle(g.n, g.arcs)[0]
+    order = sorted(range(g.n), key=lambda v: (-len(out_adj[v]), v))
     arcset = set(g.arcs)
     for a, b in zip(order, order[1:]):
         if (a, b) not in arcset:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from dss import (
     subset_sum_to_tree,
     write_instance,
 )
+from dss import formats
 from dss.cli import ALGORITHMS, main
 from dss.formats import CHUNK_LINES
 
@@ -234,6 +236,67 @@ class TestEdgeList:
             parse_edge_list("edge a a\n")
         with pytest.raises(ParseError, match="^duplicate edge$"):
             parse_edge_list("edge a b\nedge b a\n")
+
+
+# Every line break ``str.splitlines`` knows, "\r\n" included.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# Lines of each format, well formed or not, comments and blanks included.
+WALK_LINES = {
+    parse_instance: [
+        "problem ssg", "problem maximal-ssgw", "budget 7", "budget x", "node a 1", "node b 2",
+        "node c 0 # weight", "node a 3", "node d -1", "arc a b", "arc b a", "arc b c#tail",
+        "arc a a", "arc a z", "arc a", "# comment", "", "  \t", "bogus 1",
+    ],
+    parse_solution: [
+        "weight 3", "weight x", "size 2", "size 1", "select a", "select b # picked",
+        "select", "feasible true", "feasible false closure=false maximality=na",
+        "feasible true budget=maybe", "# comment", "", "bogus",
+    ],
+    parse_edge_list: [
+        "edge a b", "edge b c", "edge c a # closes", "edge a a", "edge b a", "edge a", "# c", "",
+    ],
+}
+
+
+def _walk_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestChunkedWalk:
+    """The parsers walk the text in pieces, each cut just after a "\n".
+    With the piece size patched down to a few characters, so that pieces
+    end on every side of comments, errors and each line break, every
+    parser gives what one ``splitlines()`` of the whole text gives: the
+    same result, or the same error on the same line."""
+
+    @given(
+        st.sampled_from(list(WALK_LINES)).flatmap(
+            lambda parse: st.tuples(
+                st.just(parse),
+                st.lists(st.tuples(st.sampled_from(WALK_LINES[parse]), st.sampled_from(LINE_BREAKS)),
+                         max_size=30),
+                st.booleans(),
+            )
+        ),
+        st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_splitlines(self, case, chunk):
+        parse, lines, last_break = case
+        text = "".join(line + brk for line, brk in lines)
+        if lines and not last_break:
+            text = text[: -len(lines[-1][1])]
+        with mock.patch.object(formats, "_pieces", lambda text: iter([(1, text.splitlines())])):
+            expected = _walk_outcome(parse, text)
+        with mock.patch.object(formats, "PARSE_CHUNK", chunk):
+            pieces = list(formats._pieces(text))
+            assert _walk_outcome(parse, text) == expected
+        numbered = [(i, line) for first, got in pieces for i, line in enumerate(got, first)]
+        assert numbered == list(enumerate(text.splitlines(), 1))
 
 
 @pytest.fixture
@@ -480,8 +543,10 @@ class TestCliGenerate:
         assert "threshold" in out.splitlines()[0]
 
 
-# Line counts at and around the chunk boundaries of ``write_instance``.
-CHUNK_COUNTS = [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 1]
+# Line counts at and around the chunk boundaries of ``write_instance``,
+# four chunks in: ``BOUNDARY`` lines end a chunk, one more starts the next.
+BOUNDARY = 4 * CHUNK_LINES
+CHUNK_COUNTS = [0, 1, BOUNDARY - 1, BOUNDARY, BOUNDARY + 1, 2 * BOUNDARY + 1]
 
 
 def _instance_with(n: int, m: int) -> tuple[WeightedInstance, list[str]]:
@@ -545,7 +610,7 @@ class TestInstanceWrites:
         assert text == "problem ssgw\nbudget 0\n"
 
     def test_clique_with_header(self, tmp_path, capsys):
-        # A 600-cycle: 4800 nodes and 7200 arcs, two chunks each.
+        # A 600-cycle: 4800 nodes and 7200 arcs, several chunks each.
         edges = tmp_path / "e.txt"
         edges.write_text("".join(f"edge a{i} a{(i + 1) % 600}\n" for i in range(600)))
         argv = ["clique", "--edges", str(edges), "--clique-size", "2"]
@@ -577,7 +642,7 @@ class TestInstanceWrites:
 
     def test_write_adds_under_one_megabyte(self, tmp_path):
         """Writing a 350-node tournament (61,075 arcs) to a file holds the
-        instance and one chunk: 0.35 MB over the instance, where joining
+        instance and one chunk: 0.13 MB over the instance, where joining
         the whole text, as ``emit_instance`` does, adds 5.9 MB."""
         inst = random_instance(GraphClass.TOURNAMENT, 350, seed=0, kind=ProblemKind.MAXIMAL_SSG)
         labels = [f"v{i}" for i in range(350)]

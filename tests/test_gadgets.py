@@ -153,8 +153,9 @@ class TestCliqueReduction:
         spec = CliqueGadgetSpec(cycle_graph(5), 2)
         inst, _ = clique_to_ssg(spec)
         g = inst.graph
+        out_adj, in_adj = oracles.adjacency_oracle(g.n, g.arcs)
         for v in range(g.n):
-            din, dout = len(g.in_adj[v]), len(g.out_adj[v])
+            din, dout = len(in_adj[v]), len(out_adj[v])
             assert (din, dout) in ((2, 1), (1, 2))
 
     def test_known_positive(self):
@@ -211,7 +212,8 @@ class TestCardinalityReduction:
         assert inst.graph.n == 3 + 2 + 1
         assert is_dag(inst.graph)
         # Unique sink: the bottom of the appended chain.
-        sinks = [v for v in range(inst.graph.n) if not inst.graph.out_adj[v]]
+        out_adj = oracles.adjacency_oracle(inst.graph.n, inst.graph.arcs)[0]
+        sinks = [v for v in range(inst.graph.n) if not out_adj[v]]
         assert sinks == [3]
         assert q == spec.threshold
 
@@ -250,7 +252,8 @@ class TestIndependenceReduction:
         assert inst.budget == 5
         assert sorted(set(inst.weights)) == [1, 6]
         assert is_dag(inst.graph)
-        assert all(len(inst.graph.in_adj[v]) <= 2 for v in range(10))
+        in_adj = oracles.adjacency_oracle(10, inst.graph.arcs)[1]
+        assert all(len(in_adj[v]) <= 2 for v in range(10))
 
     def test_rejects_strong_kind(self):
         with pytest.raises(InstanceError):

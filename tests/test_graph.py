@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -42,6 +43,9 @@ from dss.graph import (
     mask_nodes,
     neighbour_masks,
 )
+
+# The adjacency slots of a ``Digraph``, set on first read.
+CSR_SLOTS = ("out_ptr", "in_ptr", "in_tail")
 
 
 def random_digraph(draw, max_n=8, min_n=1):
@@ -114,8 +118,8 @@ class TestDigraph:
 
     def test_adjacency(self):
         g = Digraph(3, [(0, 1), (2, 1)])
-        assert g.out_adj == ((1,), (), (1,))
-        assert g.in_adj == ((), (0, 2), ())
+        assert g.out_ptr.tolist() == [0, 1, 1, 2] and g.head.tolist() == [1, 1]
+        assert g.in_ptr.tolist() == [0, 0, 2, 2] and g.in_tail.tolist() == [0, 2]
 
     def test_hashable_equality(self):
         a = Digraph(3, [(0, 1)])
@@ -125,7 +129,9 @@ class TestDigraph:
     @staticmethod
     def assert_same(got, ref):
         assert got.n == ref.n and got.arcs == ref.arcs
-        assert got.out_adj == ref.out_adj and got.in_adj == ref.in_adj
+        for name in ("out_ptr", "in_ptr", "in_tail"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert getattr(got, name).dtype == np.int64, name
         assert got == ref and hash(got) == hash(ref)
 
     @given(digraphs(), st.data())
@@ -142,7 +148,7 @@ class TestDigraph:
     def test_small_graphs_match_reference(self, n, arcs):
         g = Digraph(n, iter(arcs))
         self.assert_same(g, oracles.reference_digraph(n, arcs))
-        assert len(g.out_adj) == len(g.in_adj) == n
+        assert len(g.out_ptr) == len(g.in_ptr) == n + 1
 
     @pytest.mark.parametrize(
         "n,arcs,message",
@@ -268,22 +274,32 @@ class TestArrayFacts:
             g.tail[0] = 2
 
     def test_adjacency_is_built_on_first_read(self):
+        """The CSR slots are empty until read; the in-neighbour pair is
+        built together and kept, read-only; ``arcs`` is never kept."""
         g = Digraph(3, [(0, 1), (2, 1)])
-        for name in ("arcs", "out_adj", "in_adj"):
+        for name in CSR_SLOTS:
             with pytest.raises(AttributeError):
                 object.__getattribute__(g, name)
-        assert g.in_adj == ((), (0, 2), ())
-        assert object.__getattribute__(g, "in_adj") is g.in_adj
+        assert g.in_tail.tolist() == [0, 2]
+        for name in ("in_ptr", "in_tail"):
+            assert object.__getattribute__(g, name) is getattr(g, name)
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 1
         with pytest.raises(AttributeError):
-            object.__getattribute__(g, "out_adj")
-        with pytest.raises(AttributeError):
-            g.no_such_slot
+            object.__getattribute__(g, "out_ptr")
+        assert g.out_ptr.tolist() == [0, 1, 1, 2]
+        assert object.__getattribute__(g, "out_ptr") is g.out_ptr
+        assert g.arcs == ((0, 1), (2, 1)) and g.arcs is not g.arcs
+        assert "arcs" not in Digraph.__slots__
+        for name in ("no_such_slot", "out_adj", "in_adj"):
+            with pytest.raises(AttributeError):
+                getattr(g, name)
 
     def test_union_find_builds_no_adjacency(self):
         g = Digraph(6, [(0, 1), (2, 1), (3, 4), (4, 3)])
         assert not is_underlying_forest(g) and not is_underlying_connected(g)
         assert is_underlying_connected(Digraph(3, [(2, 0), (1, 2)]))
-        for name in ("out_adj", "in_adj"):
+        for name in CSR_SLOTS:
             with pytest.raises(AttributeError):
                 object.__getattribute__(g, name)
 
@@ -320,8 +336,9 @@ class TestReachability:
     @settings(max_examples=60, deadline=None)
     def test_descendants_match_oracle(self, g):
         succ, pred = neighbour_masks(g)
-        assert [tuple(mask_nodes(m)) for m in succ] == list(g.out_adj)
-        assert [tuple(mask_nodes(m)) for m in pred] == list(g.in_adj)
+        out_adj, in_adj = oracles.adjacency_oracle(g.n, g.arcs)
+        assert [tuple(mask_nodes(m)) for m in succ] == list(out_adj)
+        assert [tuple(mask_nodes(m)) for m in pred] == list(in_adj)
         dag = Digraph(g.n, [(u, v) for u, v in g.arcs if u < v])
         desc = _reach(dag).desc
         for v in range(g.n):
@@ -504,6 +521,33 @@ class TestStructurePasses:
                 assert counts["is_underlying_forest"] <= 1, (cls, kind)
                 assert sum(counts.values()) == counts["is_underlying_forest"], (cls, kind)
 
+    def test_no_arc_objects_kept(self):
+        """After ``classify``, ``condense`` and a tree DP, a 10^5-node
+        oriented tree keeps its CSR arrays and no Python object per arc.
+        ``classify`` and ``condense`` keep ``out_ptr`` alone, 8 bytes a
+        node, where the out-neighbour tuples kept 74.  The DP, run
+        untraced since tracing slows it tenfold, adds the in-neighbour
+        arrays and under N/100 Python objects, where the tuples of both
+        sides were 331,389 objects."""
+        inst = random_instance(
+            GraphClass.ORIENTED_TREE, self.N, weight_max=1, budget_rule=("fixed", 8), seed=1
+        )
+        g = inst.graph
+        gc.collect()
+        blocks = sys.getallocatedblocks()
+        tracemalloc.start()
+        try:
+            assert classify(g) is GraphClass.ORIENTED_TREE
+            assert condense(g, inst.weights).dag is g
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < g.out_ptr.nbytes + 2_000, kept / self.N
+        assert exact.solve_ssg_tree(inst).weight == 8
+        gc.collect()
+        assert sys.getallocatedblocks() - blocks < self.N // 100
+        assert [getattr(g, name).nbytes for name in CSR_SLOTS] == [8 * (self.N + 1)] * 2 + [8 * g.m]
+
     def test_acyclic_condensation(self, monkeypatch):
         """A tree is its own condensation: one Kahn pass, no Tarjan, and
         nothing kept per node.  A tuple of singletons alone would hold
@@ -511,7 +555,7 @@ class TestStructurePasses:
         counts = _count_calls(monkeypatch, self.PASSES)
         weights = (1,) * self.N
         for cls, g in self.trees().items():
-            g.out_adj
+            g.out_ptr
             counts.update(dict.fromkeys(counts, 0))
             tracemalloc.start()
             try:
@@ -546,7 +590,7 @@ class TestStructurePasses:
         condense(small, [1] * small.n)
         g = self.chained_cycles(1000, 100)
         weights = (1,) * g.n
-        g.out_adj
+        g.out_ptr
         tracemalloc.start()
         try:
             cond = condense(g, weights)
