@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
 import time
@@ -202,9 +203,24 @@ def _add_children(parser, dest: str, table: dict, words: Sequence[str]) -> None:
             add(child)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+class _InputFile(io.TextIOWrapper):
+    """A text file whose ``len`` is its size in bytes, as ``len`` of the
+    whole text was when commands read their files into strings; span
+    tracing (``perfbench/spans.py``) sizes a parse by ``len`` of its input."""
+
+    def __len__(self) -> int:
+        return os.fstat(self.fileno()).st_size
+
+
+def _parse(parse, path: str):
+    """``parse`` of the file ``path``, open as UTF-8 text with universal
+    newlines; the parsers read it in pieces as they go.  Bytes that are not
+    UTF-8 end the command as a parse error, wherever the walk meets them."""
+    with _InputFile(open(path, "rb"), encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise formats.ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextlib.contextmanager
@@ -281,7 +297,7 @@ def _solve_auto(inst: WeightedInstance, k: int) -> Solution:
 
 
 def cmd_solve(args) -> int:
-    inst, labels = formats.parse_instance(_read(args.instance))
+    inst, labels = _parse(formats.parse_instance, args.instance)
     if args.k < 0:
         raise exact.SolverError("k must be nonnegative")
     run = _solve_auto if args.algorithm == "auto" else SOLVERS[args.algorithm]
@@ -304,8 +320,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst, labels = formats.parse_instance(_read(args.instance))
-    selected_labels, declared_weight, _ = formats.parse_solution(_read(args.solution))
+    inst, labels = _parse(formats.parse_instance, args.instance)
+    selected_labels, declared_weight, _ = _parse(formats.parse_solution, args.solution)
     index = {label: i for i, label in enumerate(labels)}
     try:
         selected = {index[label] for label in selected_labels}
@@ -351,7 +367,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    inst = formats.parse_instance(_read(args.instance))[0]
+    inst = _parse(formats.parse_instance, args.instance)[0]
     g = inst.graph
     with _output(None) as fh:
         fh.write(f"class {classify(g).value}\nnodes {g.n}\narcs {g.m}\n")
@@ -364,7 +380,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate_clique(args) -> int:
-    graph = formats.parse_edge_list(_read(args.edges))[0]
+    graph = _parse(formats.parse_edge_list, args.edges)[0]
     spec = gadgets.CliqueGadgetSpec(graph, args.clique_size)
     inst, labels = gadgets.clique_to_ssg(spec)
     with _output(args.out) as fh:
@@ -377,7 +393,7 @@ def cmd_generate_clique(args) -> int:
 
 
 def cmd_generate_hard_maximal(args) -> int:
-    src = formats.parse_instance(_read(args.instance))[0]
+    src = _parse(formats.parse_instance, args.instance)[0]
     if src.kind is not ProblemKind.SSG:
         raise InstanceError("source instance must use the ssg kind")
     spec = gadgets.MaximalGadgetSpec(src.graph, src.weights, args.p, src.budget)
@@ -389,7 +405,7 @@ def cmd_generate_hard_maximal(args) -> int:
 
 
 def cmd_generate_independent_set(args) -> int:
-    graph = formats.parse_edge_list(_read(args.edges))[0]
+    graph = _parse(formats.parse_edge_list, args.edges)[0]
     spec = gadgets.ISGadgetSpec(graph)
     inst, labels = gadgets.graph_to_ssgw(spec, ProblemKind(args.kind))
     with _output(args.out) as fh:

@@ -30,15 +30,21 @@ lists); labels live only at this boundary.
 ``write_instance`` writes an instance file to an open text handle,
 ``CHUNK_LINES`` lines per ``write``, so that writing it holds the
 instance and one chunk of text, not the whole file; ``emit_instance``
-returns the same text as a string.  The parsers walk their text in
-pieces of about ``PARSE_CHUNK`` characters, so they hold one piece's
-lines at a time, not a list of every line.
+returns the same text as a string.  The parsers take a string or an
+open text file and walk it in pieces of about ``PARSE_CHUNK``
+characters, read from the file as the walk goes, so they hold one
+piece's lines at a time: neither a list of every line nor, for a file,
+its whole text.  A file that cannot seek is the exception: an instance
+error may need a second walk to find an earlier repeated arc, so
+``parse_instance`` reads such a file whole.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
 from typing import Optional, TextIO
+
+import numpy as np
 
 from .graph import Digraph, GraphError
 from .instance import InstanceError, ProblemKind, Solution, WeightedInstance
@@ -56,24 +62,48 @@ class ParseError(ValueError):
 # Characters of text per piece of the parsers' line walk.
 PARSE_CHUNK = 1 << 14
 
+# The characters at which ``str.splitlines`` ends a line ("\r\n" is one break).
+_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
-def _pieces(text: str):
-    """``(first line number, lines)`` per piece of ``text``, together the
-    lines of ``text.splitlines()``.  Each piece but the last ends just
-    after the first ``"\n"`` at least ``PARSE_CHUNK`` characters into it:
-    a ``"\n"``, alone or after ``"\r"``, always ends a line, so no line
-    is split.  Only one piece's lines are held at a time."""
-    start, lineno = 0, 1
-    while start < len(text):
-        cut = text.find("\n", start + PARSE_CHUNK - 1) + 1 or len(text)
-        lines = text[start:cut].splitlines()
+
+def _pieces(source: str | TextIO):
+    """``(first line number, lines)`` per piece of ``source``, a string or
+    a text file open at its start; together the lines of its whole text's
+    ``splitlines()``.  The text is taken ``PARSE_CHUNK`` characters at a
+    time, by ``read`` from a file or by slicing a string, and each piece
+    holds the lines that one such chunk completes.  A line that runs past
+    a cut is carried into the next piece, after any break ``splitlines``
+    honours; a "\n" that opens a chunk after one that ended in "\r" is
+    the rest of a "\r\n" break, not a line.  Only one piece's lines are
+    held at a time."""
+    if isinstance(source, str):
+        chunks = (source[i:i + PARSE_CHUNK] for i in range(0, len(source), PARSE_CHUNK))
+    else:
+        chunks = iter(lambda: source.read(PARSE_CHUNK), "")
+    lineno, head, after_cr = 1, [], False
+    for chunk in chunks:
+        if after_cr and chunk[0] == "\n":
+            chunk = chunk[1:]
+        after_cr = chunk[-1:] == "\r"
+        if not chunk:
+            continue
+        lines = chunk.splitlines()
+        # The chunk's last line runs on into the next unless a break ends it.
+        tail = [] if chunk[-1] in _BREAKS else [lines.pop()]
+        if not lines:  # no break in the chunk: the carried line grows
+            head += tail
+            continue
+        if head:
+            lines[0] = "".join(head) + lines[0]
+        head = tail
         yield lineno, lines
         lineno += len(lines)
-        start = cut
+    if head:
+        yield lineno, ["".join(head)]
 
 
-def _lines(text: str):
-    for first, lines in _pieces(text):
+def _lines(source: str | TextIO):
+    for first, lines in _pieces(source):
         for i, raw in enumerate(lines, first):
             if "#" in raw:
                 raw = raw.split("#", 1)[0]
@@ -82,7 +112,12 @@ def _lines(text: str):
                 yield i, parts
 
 
-def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
+def parse_instance(source: str | TextIO) -> tuple[WeightedInstance, list[str]]:
+    """The instance in ``source``, a string or a text file open at its
+    start, and its node labels in id order.  A file that cannot seek (a
+    pipe) is read whole, since an error may need a second walk."""
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
     kind: Optional[ProblemKind] = None
     budget: Optional[int] = None
     labels: list[str] = []
@@ -93,7 +128,7 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
     try:
         # ``_lines`` inlined: on large files the generator alone costs about
         # a quarter of this loop.  Arc lines, the most common, come first.
-        for first, lines in _pieces(text):
+        for first, lines in _pieces(source):
             for lineno, raw in enumerate(lines, first):
                 if "#" in raw:
                     raw = raw.split("#", 1)[0]
@@ -142,13 +177,17 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
             raise ParseError("missing problem line")
         if budget is None:
             raise ParseError("missing budget line")
+        # Each id list gives way to its array before the next is built, so
+        # no list is held beside its copy and the sort's temporaries.
+        tails = np.array(tails, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)
         graph = Digraph.from_ids(len(labels), tails, heads)
         inst = WeightedInstance(graph, tuple(weights), budget, kind)
     except (ParseError, GraphError, InstanceError) as exc:
         # Arcs are checked for repeats only when the graph is built, but a
         # repeat must still be reported before any later error.
         stop = exc.lineno if isinstance(exc, ParseError) else None
-        duplicate = _duplicate_arc(text, stop)
+        duplicate = _duplicate_arc(source, stop)
         if duplicate is not None:
             raise duplicate from None
         if isinstance(exc, ParseError):
@@ -157,12 +196,15 @@ def parse_instance(text: str) -> tuple[WeightedInstance, list[str]]:
     return inst, labels
 
 
-def _duplicate_arc(text: str, stop: Optional[int]) -> Optional[ParseError]:
+def _duplicate_arc(source: str | TextIO, stop: Optional[int]) -> Optional[ParseError]:
     """The error for the first arc line before line ``stop`` (anywhere if
-    None) that repeats an earlier arc line, or None.  Every arc line
-    before the line of the error being reported is well formed."""
+    None) that repeats an earlier arc line, or None; a file is walked again
+    from its start.  Every arc line before the line of the error being
+    reported is well formed."""
+    if not isinstance(source, str):
+        source.seek(0)
     seen: set[tuple[str, str]] = set()
-    for lineno, parts in _lines(text):
+    for lineno, parts in _lines(source):
         if stop is not None and lineno >= stop:
             break
         if parts[0] == "arc":
@@ -227,14 +269,15 @@ def emit_solution(sol: Solution, labels: list[str], flags: SolutionFlags) -> str
     return "\n".join(out) + "\n"
 
 
-def parse_solution(text: str) -> tuple[list[str], int, Optional[SolutionFlags]]:
-    """Returns (selected labels, declared weight, flags if present)."""
+def parse_solution(source: str | TextIO) -> tuple[list[str], int, Optional[SolutionFlags]]:
+    """Returns (selected labels, declared weight, flags if present) of
+    ``source``, a string or a text file open at its start."""
     weight: Optional[int] = None
     size: Optional[int] = None
     selected: list[str] = []
     flags: Optional[SolutionFlags] = None
     seen: set[str] = set()
-    for lineno, parts in _lines(text):
+    for lineno, parts in _lines(source):
         key = parts[0]
         if key in seen:
             raise ParseError(f"duplicate {key} line", lineno)
@@ -297,13 +340,14 @@ def _parse_flags(parts: list[str], lineno: int) -> SolutionFlags:
     )
 
 
-def parse_edge_list(text: str) -> tuple[UndirectedGraph, list[str]]:
-    """Undirected edge list; node ids by first appearance."""
+def parse_edge_list(source: str | TextIO) -> tuple[UndirectedGraph, list[str]]:
+    """The undirected edge list in ``source``, a string or a text file open
+    at its start; node ids by first appearance."""
     labels: list[str] = []
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
-    for lineno, parts in _lines(text):
+    for lineno, parts in _lines(source):
         if parts[0] != "edge" or len(parts) != 3:
             raise ParseError("expected: edge <u> <v>", lineno)
         for label, ids in zip(parts[1:], (us, vs)):

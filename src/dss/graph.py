@@ -257,70 +257,72 @@ class Condensation:
     component_weight: tuple[int, ...]
 
 
-def _strongly_connected_components(g: Digraph) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological discovery order.
-    The DFS stack holds node ids only: ``nxt[v]`` is the position in
-    ``head`` of the next out-arc of v to follow, so a resumed node goes on
-    where it left off."""
+def _strongly_connected_components(g: Digraph) -> tuple[np.ndarray, int]:
+    """``(component of each node, component count)``, components numbered
+    in the order they complete, which is reverse topological.
+
+    Pearce's one-index variant of Tarjan's algorithm (D. J. Pearce, "A
+    space-efficient algorithm for finding strongly connected components",
+    Inf. Process. Lett. 116(1), 2016), iterative.  One list, ``rindex``,
+    holds a node's DFS index while it is open, lowered to the least index
+    it reaches, and ``n - 1 - component`` once its component is done; the
+    open indices stay below every done label, so a done node never lowers
+    another, and no ``low`` or on-stack list is needed.  The DFS stack
+    holds node ids and one root flag per frame: ``nxt[v]`` is the position
+    in ``head`` of the next out-arc of v to follow, so a resumed node goes
+    on where it left off.  ``stack`` holds the done non-root nodes that
+    wait for their root."""
+    n = g.n
     ptr, head = memoryview(g.out_ptr), memoryview(g.head)
     nxt = ptr[:-1].tolist()
-    index = [-1] * g.n
-    low = [0] * g.n
-    on_stack = [False] * g.n
+    rindex = [-1] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(g.n):
-        if index[root] != -1:
+    index, label = 0, n - 1
+    for start in range(n):
+        if rindex[start] != -1:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [root]
+        rindex[start] = index
+        index += 1
+        work, root = [start], [True]
         while work:
             v = work[-1]
+            rv = rindex[v]
             i, end = nxt[v], ptr[v + 1]
             while i < end:
                 w = head[i]
                 i += 1
-                if index[w] == -1:
+                rw = rindex[w]
+                if rw == -1:
                     nxt[v] = i
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                    rindex[w] = index
+                    index += 1
                     work.append(w)
+                    root.append(True)
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if rw < rv:
+                    rindex[v] = rv = rw
+                    root[-1] = False
             else:
                 work.pop()
-                if work:
-                    pv = work[-1]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
+                if root.pop():
+                    # v and the waiting nodes it reaches form a component.
+                    index -= 1
+                    while stack and rv <= rindex[stack[-1]]:
+                        rindex[stack.pop()] = label
+                        index -= 1
+                    rindex[v] = label
+                    label -= 1
+                else:
+                    stack.append(v)
+                if work and rindex[v] < rindex[work[-1]]:
+                    rindex[work[-1]] = rindex[v]
+                    root[-1] = False
+    return (n - 1) - np.array(rindex, dtype=np.int64), n - 1 - label
 
 
 def _condensation(g: Digraph) -> tuple:
     """(dag, component_of) of a cyclic ``g``."""
-    comps = _strongly_connected_components(g)
-    k = len(comps)
-    raw_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            raw_of[v] = ci
-    raw_of = np.array(raw_of, dtype=np.int64)
+    raw_of, k = _strongly_connected_components(g)
     # The arcs between components, each once, sorted: codes a*k + b.
     a, b = raw_of[g.tail], raw_of[g.head]
     cross = a != b
@@ -329,7 +331,9 @@ def _condensation(g: Digraph) -> tuple:
     # The cross arcs are sorted by ``a``: their CSR is ``ptr`` over ``b``.
     ptr, succ = memoryview(_offsets(a, k)), memoryview(b)
     indeg = np.bincount(b, minlength=k).tolist()
-    least = [min(comp) for comp in comps]
+    least = np.full(k, g.n, dtype=np.int64)
+    np.minimum.at(least, raw_of, np.arange(g.n))
+    least = least.tolist()
     ready = [(least[c], c) for c in range(k) if indeg[c] == 0]
     heapq.heapify(ready)
     order = []

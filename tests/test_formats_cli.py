@@ -1,8 +1,11 @@
 import contextlib
 import io
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 import tracemalloc
 import types
 from unittest import mock
@@ -35,7 +38,7 @@ from dss import (
     subset_sum_to_tree,
     write_instance,
 )
-from dss import formats
+from dss import cli, formats
 from dss.cli import ALGORITHMS, main
 from dss.formats import CHUNK_LINES
 
@@ -259,44 +262,115 @@ WALK_LINES = {
 }
 
 
-def _walk_outcome(parse, text):
+def _walk_outcome(parse, source):
     try:
-        return parse(text)
+        return parse(source)
     except ParseError as exc:
         return f"ParseError: {exc}"
 
 
-class TestChunkedWalk:
-    """The parsers walk the text in pieces, each cut just after a "\n".
-    With the piece size patched down to a few characters, so that pieces
-    end on every side of comments, errors and each line break, every
-    parser gives what one ``splitlines()`` of the whole text gives: the
-    same result, or the same error on the same line."""
+def _walk_text(lines, last_break):
+    """The text of ``(line, break)`` pairs, the last break dropped unless
+    ``last_break``."""
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not last_break:
+        text = text[: -len(lines[-1][1])]
+    return text
 
-    @given(
-        st.sampled_from(list(WALK_LINES)).flatmap(
-            lambda parse: st.tuples(
-                st.just(parse),
-                st.lists(st.tuples(st.sampled_from(WALK_LINES[parse]), st.sampled_from(LINE_BREAKS)),
-                         max_size=30),
-                st.booleans(),
-            )
-        ),
-        st.integers(min_value=1, max_value=24),
+
+# Lists of ``(line, break)`` pairs of one format, with the parser of it.
+walk_cases = st.sampled_from(list(WALK_LINES)).flatmap(
+    lambda parse: st.tuples(
+        st.just(parse),
+        st.lists(st.tuples(st.sampled_from(WALK_LINES[parse]), st.sampled_from(LINE_BREAKS)),
+                 max_size=30),
+        st.booleans(),
     )
+)
+
+
+def _one_splitlines(parse, text):
+    """What ``parse`` makes of ``text`` walked as one ``splitlines()``."""
+    with mock.patch.object(formats, "_pieces", lambda source: iter([(1, source.splitlines())])):
+        return _walk_outcome(parse, text)
+
+
+class TestChunkedWalk:
+    """The parsers walk their text in pieces of about ``PARSE_CHUNK``
+    characters, carrying a line cut by a piece into the next.  With the
+    piece size patched down to a few characters, so that pieces end on
+    every side of comments, errors and each line break, every parser gives
+    what one ``splitlines()`` of the whole text gives, whether it reads a
+    string or an open file: the same result, or the same error on the same
+    line."""
+
+    @given(walk_cases, st.integers(min_value=1, max_value=24))
     @settings(max_examples=400, deadline=None)
     def test_matches_one_splitlines(self, case, chunk):
         parse, lines, last_break = case
-        text = "".join(line + brk for line, brk in lines)
-        if lines and not last_break:
-            text = text[: -len(lines[-1][1])]
-        with mock.patch.object(formats, "_pieces", lambda text: iter([(1, text.splitlines())])):
-            expected = _walk_outcome(parse, text)
+        text = _walk_text(lines, last_break)
+        expected = _one_splitlines(parse, text)
         with mock.patch.object(formats, "PARSE_CHUNK", chunk):
             pieces = list(formats._pieces(text))
             assert _walk_outcome(parse, text) == expected
         numbered = [(i, line) for first, got in pieces for i, line in enumerate(got, first)]
         assert numbered == list(enumerate(text.splitlines(), 1))
+
+    @given(walk_cases, st.integers(min_value=1, max_value=24), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_file_matches_string(self, case, chunk, data):
+        """A file is read as the CLI reads it, as UTF-8 with universal
+        newlines.  An instance gets a repeated arc at two drawn places, so
+        the repeat falls before, between and after its other errors, which
+        the error path finds by walking the file again from its start."""
+        parse, lines, last_break = case
+        if parse is parse_instance:
+            for _ in range(2):
+                at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+                lines.insert(at, ("arc a b", data.draw(st.sampled_from(LINE_BREAKS))))
+        text = _walk_text(lines, last_break)
+        expected = _one_splitlines(parse, text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "walk.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with mock.patch.object(formats, "PARSE_CHUNK", chunk):
+                assert _walk_outcome(lambda p: cli._parse(parse, p), path) == expected
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_pieces_cut_at_every_break(self, brk):
+        """A string is cut after any break ``splitlines`` honours, so one
+        whose lines end in "\r" alone is not walked as one piece."""
+        text = ("node a 1" + brk) * 5000
+        pieces = list(formats._pieces(text))
+        per_piece = formats.PARSE_CHUNK // len("node a 1" + brk) + 1
+        assert len(pieces) > 1 and max(len(got) for _, got in pieces) <= per_piece
+        assert sum(len(got) for _, got in pieces) == 5000
+
+    @pytest.mark.parametrize("seekable", [True, False])
+    def test_file_read_in_pieces(self, tmp_path, seekable):
+        """A file is read ``PARSE_CHUNK`` characters at a time, never whole,
+        unless it cannot seek; then an instance with a repeated arc is read
+        once whole and the error still names the repeat's line."""
+        inst = random_instance(GraphClass.DAG, 300, seed=1)
+        labels = [f"v{i}" for i in range(300)]
+        text = emit_instance(inst, labels)
+        path = tmp_path / "i.txt"
+        path.write_text(text + text.splitlines()[-1] + "\n")
+        sizes = []
+        with open(path, encoding="utf-8") as fh:
+            spy = mock.Mock(wraps=fh)
+            spy.seekable.return_value = seekable
+            spy.read.side_effect = lambda *size: sizes.append(size) or fh.read(*size)
+            with pytest.raises(ParseError) as exc:
+                parse_instance(spy)
+        arc = text.splitlines()[-1].split()
+        assert str(exc.value) == f"line {len(text.splitlines()) + 1}: duplicate arc {arc[1]} -> {arc[2]}"
+        if seekable:
+            assert len(text) > 10 * formats.PARSE_CHUNK
+            assert set(sizes) == {(formats.PARSE_CHUNK,)} and spy.seek.call_count == 1
+        else:
+            assert sizes == [()] and spy.seek.call_count == 0
 
 
 @pytest.fixture
@@ -475,6 +549,80 @@ class TestCliClassify:
         out = capsys.readouterr().out
         assert "class in-rooted-tree" in out
         assert "nodes 8" in out
+
+
+@contextlib.contextmanager
+def _fifo(path, text):
+    """A FIFO at ``path`` that a thread fills with ``text`` once a reader
+    opens it.  If no reader came, one is opened at the end so that the
+    writer returns."""
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK) if writer.is_alive() else None
+        writer.join(timeout=30)
+        if reader is not None:
+            os.close(reader)
+        assert not writer.is_alive()
+
+
+# Instance text with a repeated arc on line 6, before an error on line 7.
+REPEATED_ARC = "problem ssg\nbudget 1\nnode a 1\nnode b 1\narc a b\narc a b\nfrobnicate\n"
+
+
+class TestCliInputs:
+    """Files are read in pieces as they are parsed; a pipe, which cannot
+    seek, is read whole, and bytes that are not UTF-8 are a parse error."""
+
+    def test_solve_and_check_from_fifos(self, tmp_path, capsys):
+        text = emit_instance(random_instance(GraphClass.GENERAL, 40, seed=2), [f"v{i}" for i in range(40)])
+        (tmp_path / "i.txt").write_text(text)
+        assert main(["solve", str(tmp_path / "i.txt"), "--out", str(tmp_path / "s.txt")]) == 0
+        with _fifo(tmp_path / "i.fifo", text) as fifo:
+            assert main(["solve", fifo, "--out", str(tmp_path / "s_fifo.txt")]) == 0
+        solution = (tmp_path / "s.txt").read_text()
+        assert (tmp_path / "s_fifo.txt").read_text() == solution
+        with _fifo(tmp_path / "c.fifo", text) as inst, _fifo(tmp_path / "cs.fifo", solution) as sol:
+            assert main(["check", inst, sol]) == 0
+        assert capsys.readouterr().out.endswith("feasible true\n")
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_repeated_arc_from_fifo(self, command, tmp_path, capsys):
+        (tmp_path / "s.txt").write_text("weight 0\n")
+        with _fifo(tmp_path / "i.fifo", REPEATED_ARC) as fifo:
+            argv = [command, fifo] + ([str(tmp_path / "s.txt")] if command == "check" else [])
+            assert main(argv) == 3
+        assert capsys.readouterr().err == "error: line 6: duplicate arc a -> b\n"
+
+    @pytest.mark.parametrize("command", ["solve", "check", "classify", "generate independent-set"])
+    @pytest.mark.parametrize("prefix_lines", [0, 5000])
+    def test_invalid_utf8_is_parse_error(self, command, prefix_lines, tmp_path, capsys):
+        """Exit 3 with one ``error:`` line, whether the bad byte is in the
+        first piece read or thousands of lines on."""
+        good = tmp_path / "good.txt"
+        good.write_text("problem ssg\nbudget 3\nnode a 1\n")
+        bad = tmp_path / "bad.txt"
+        if command == "generate independent-set":
+            lines = [f"edge u{i} u{i + 1}\n" for i in range(prefix_lines)]
+            bad.write_bytes("".join(lines).encode() + b"edge a\xff b\n")
+            argv = ["generate", "independent-set", "--edges", str(bad)]
+        elif command == "check":
+            bad.write_bytes(b"weight 1\n" + b"# note\n" * prefix_lines + b"select a\xff\n")
+            argv = ["check", str(good), str(bad)]
+        else:
+            lines = [f"node n{i} 1\n" for i in range(prefix_lines)]
+            bad.write_bytes(b"problem ssg\nbudget 3\n" + "".join(lines).encode() + b"node a\xff 1\n")
+            argv = [command, str(bad)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestCliGenerate:

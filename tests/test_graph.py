@@ -32,6 +32,7 @@ from dss.approx import _Reach
 from dss.cli import SOLVERS, _solve_auto
 from dss.constraints import check_digraph_closure
 from dss.graph import (
+    _strongly_connected_components,
     _topological_order,
     is_balanced_degree_two,
     is_in_rooted_tree,
@@ -246,6 +247,17 @@ class TestArrayFacts:
         assert (cond.dag.n, cond.dag.arcs) == (len(expected), dag_arcs)
         assert tuple(cond.component_of) == component_of and groups_of(cond) == expected
         assert cond.component_weight == tuple(map(sum, expected))
+
+    @given(structured_digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_pearce_components(self, g):
+        """Pearce's search gives the components of mutual reachability,
+        numbered 0..k-1 in the order they complete: an arc between two
+        components runs from the later to the earlier."""
+        comp, k = _strongly_connected_components(g)
+        groups = [frozenset(np.flatnonzero(comp == c).tolist()) for c in range(k)]
+        assert all(groups) and set(groups) == set(oracles.scc_oracle(g.n, g.arcs))
+        assert all(comp[u] >= comp[v] for u, v in g.arcs)
 
     @pytest.mark.parametrize(
         "n,arcs",
@@ -549,7 +561,7 @@ class TestStructurePasses:
         assert [getattr(g, name).nbytes for name in CSR_SLOTS] == [8 * (self.N + 1)] * 2 + [8 * g.m]
 
     def test_acyclic_condensation(self, monkeypatch):
-        """A tree is its own condensation: one Kahn pass, no Tarjan, and
+        """A tree is its own condensation: one Kahn pass, no component search, and
         nothing kept per node.  A tuple of singletons alone would hold
         about 89 bytes per node."""
         counts = _count_calls(monkeypatch, self.PASSES)
@@ -600,6 +612,31 @@ class TestStructurePasses:
         assert cond.dag.n == 1000 and cond.dag.m == 999
         assert cond.component_weight == (100,) * 1000
         assert kept < 37 * g.n, kept / g.n
+
+    def test_one_long_cycle(self):
+        """A 10^5-node cycle is one component, found without recursion."""
+        v = np.arange(self.N)
+        g = Digraph.from_ids(self.N, v, (v + 1) % self.N)
+        cond = condense(g, (1,) * self.N)
+        assert cond.dag.n == 1 and cond.dag.m == 0
+        assert cond.component_of == (0,) * self.N and cond.component_weight == (self.N,)
+
+    def test_condense_peak(self):
+        """Condensing a 10^5-node balanced-degree-two graph, one component,
+        peaks at 99.8 bytes a node under tracemalloc (the adjacency built
+        beforehand), against 140.3 for Tarjan's ``index``, ``low``,
+        ``on_stack`` and component lists."""
+        g = random_instance(GraphClass.BALANCED_DEGREE_TWO, self.N, seed=1).graph
+        weights = (1,) * self.N
+        g.out_ptr
+        tracemalloc.start()
+        try:
+            cond = condense(g, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cond.dag.n == 1
+        assert peak < 110 * self.N, peak / self.N
 
     def test_maximal_evaluate_peak(self):
         """The strong maximality test on a fresh 10^5-node tree builds the
